@@ -46,11 +46,14 @@ tracecheck:
 	$(BIN)/simtrace -proto atomic -atomic-mode isis -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck
 	$(BIN)/simtrace -proto atomic -atomic-mode batch -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck
 
-# fuzz mirrors CI's advisory fuzz sweep: 30s per storage fuzz target.
+# fuzz mirrors CI's fuzz sweeps: 30s per fuzz target of the packages that
+# decode bytes they did not write (WAL files, the TCP wire).
 fuzz:
-	@for target in $$($(GO) test -list 'Fuzz.*' ./internal/storage/ | grep '^Fuzz'); do \
-		echo "=== $$target"; \
-		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime=30s ./internal/storage/ || exit 1; \
+	@for pkg in ./internal/storage/ ./internal/message/; do \
+		for target in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
+			echo "=== $$pkg $$target"; \
+			$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime=30s $$pkg || exit 1; \
+		done; \
 	done
 
 clean:

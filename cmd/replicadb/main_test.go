@@ -108,7 +108,7 @@ func TestClientProtocolExecute(t *testing.T) {
 	// Per-peer transport counters for every site (loopback included),
 	// plus the checkpoint counters exposed when checkpointing is enabled.
 	for _, want := range []string{
-		"peer0=[", "peer1=[", "peer2=[", "connects=", "queue=", "batch=(",
+		"peer0=[", "peer1=[", "peer2=[", "bytes_sent=", "bytes_recv=", "connects=", "queue=", "batch=(",
 		"ckpt_count=", "ckpt_index=", "ckpt_bytes=", "ckpt_age=",
 		"segs_truncated=", "state_chunks=", "state_bytes=",
 	} {

@@ -1,6 +1,7 @@
 // Package livenet hosts the protocol nodes on a real TCP network: the same
 // event-driven engines that run under the deterministic simulator are bound
-// to an env.Runtime backed by stdlib net, gob-encoded connections, and
+// to an env.Runtime backed by stdlib net, connections carrying
+// internal/message's binary codec in length-prefixed frames (wire.go), and
 // wall-clock timers. cmd/replicadb uses it to run a replica as an ordinary
 // networked process.
 //
@@ -18,14 +19,14 @@
 // Outgoing messages are queued per peer and written by one sender goroutine
 // per peer (see sender.go), which performs a peer handshake, redials with
 // jittered exponential backoff, and coalesces queue drains into single
-// buffered writes. Sends to self are delivered through an in-process
-// loopback queue, matching the simulator's semantics. Delivery attributes
-// messages to the handshake identity of the connection, never to the wire
-// envelope, so a peer cannot spoof another site's id.
+// writes. Sends to self are delivered through an in-process loopback queue,
+// matching the simulator's semantics. Delivery attributes messages to the
+// handshake identity of the connection (frames carry no sender), so a peer
+// cannot spoof another site's id.
 package livenet
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -41,11 +42,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Wire protocol constants.
+// Connection management constants.
 const (
-	// helloMagic guards against cross-protocol connections (a stray HTTP
-	// client, an old binary) being mistaken for peers.
-	helloMagic = 0x52444231 // "RDB1"
 	// handshakeTimeout bounds how long an inbound connection may stall
 	// before sending its hello; protects the accept path from idle
 	// connections holding goroutines.
@@ -57,14 +55,6 @@ const (
 	acceptRetryMin = 5 * time.Millisecond
 	acceptRetryMax = 1 * time.Second
 )
-
-// hello is the first frame on every outbound connection: it authenticates
-// the stream as a peer of this cluster and identifies the dialer. All
-// envelopes that follow are attributed to this identity.
-type hello struct {
-	Magic uint32
-	From  message.SiteID
-}
 
 // Config describes one site of a TCP cluster.
 type Config struct {
@@ -89,13 +79,6 @@ type Config struct {
 	// Seed for the runtime's random source (default: time-based would break
 	// nothing here, but a fixed default keeps behaviour comparable).
 	Seed int64
-}
-
-// envelope is the wire frame for one message. From is informational only:
-// delivery attributes messages to the connection's handshake identity.
-type envelope struct {
-	From message.SiteID
-	Msg  message.Message
 }
 
 // Host implements env.Runtime over TCP.
@@ -156,7 +139,6 @@ func New(cfg Config) (*Host, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = int64(cfg.ID) + 1
 	}
-	message.RegisterGob()
 	h := &Host{
 		cfg:     cfg,
 		start:   time.Now(),
@@ -213,7 +195,7 @@ func (h *Host) Start() error {
 			host:  h,
 			to:    id,
 			addr:  h.cfg.Addrs[id],
-			out:   make(chan envelope, h.cfg.SendQueue),
+			out:   make(chan message.Message, h.cfg.SendQueue),
 			rng:   rand.New(rand.NewSource(h.cfg.Seed*31 + int64(id))),
 			stats: h.stats[id],
 		}
@@ -253,7 +235,7 @@ func (h *Host) Close() {
 	if h.ln != nil {
 		h.ln.Close()
 	}
-	// Closing tracked inbound connections unblocks their decoders.
+	// Closing tracked inbound connections unblocks their read loops.
 	h.connMu.Lock()
 	for c := range h.conns {
 		c.Close()
@@ -297,7 +279,7 @@ func (h *Host) untrack(conn net.Conn) {
 	conn.Close()
 }
 
-// acceptLoop admits inbound connections; each runs a decode loop. Transient
+// acceptLoop admits inbound connections; each runs a read loop. Transient
 // Accept errors (EMFILE, ECONNABORTED, ...) are retried with backoff — the
 // loop exits only on shutdown or when the listener itself is gone.
 func (h *Host) acceptLoop() {
@@ -331,40 +313,50 @@ func (h *Host) acceptLoop() {
 	}
 }
 
-// readLoop validates the peer handshake, then decodes and delivers
-// envelopes until the connection dies or the host shuts down (Close closes
-// tracked connections, which unblocks the decoder — no watcher goroutine).
+// readLoop validates the peer handshake, then reads, decodes and delivers
+// frames until the connection dies, a frame is malformed, or the host shuts
+// down (Close closes tracked connections, which unblocks the read — no
+// watcher goroutine). Every frame is attributed to the handshake identity.
 func (h *Host) readLoop(conn net.Conn) {
 	defer h.wg.Done()
 	defer h.untrack(conn)
-	dec := gob.NewDecoder(conn)
+	br := bufio.NewReaderSize(conn, ioChunk)
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	var hi hello
-	if err := dec.Decode(&hi); err != nil {
-		h.logf("handshake from %v: %v", conn.RemoteAddr(), err)
+	from, err := readHello(br)
+	if err != nil {
+		h.logf("rejecting %v: bad handshake: %v", conn.RemoteAddr(), err)
 		return
 	}
-	st, known := h.stats[hi.From]
-	if hi.Magic != helloMagic || !known {
-		h.logf("rejecting %v: bad handshake (magic=%#x from=%v)", conn.RemoteAddr(), hi.Magic, hi.From)
+	st, known := h.stats[from]
+	if !known {
+		h.logf("rejecting %v: bad handshake: unknown site %v", conn.RemoteAddr(), from)
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
+	var buf []byte
 	for {
-		var e envelope
-		if err := dec.Decode(&e); err != nil {
+		var wire int
+		buf, wire, err = readFrame(br, buf)
+		if err != nil {
 			if !errors.Is(err, io.EOF) && !h.stopped() {
-				h.logf("decode from site %v (%v): %v", hi.From, conn.RemoteAddr(), err)
+				h.logf("read from site %v (%v): %v", from, conn.RemoteAddr(), err)
 			}
 			return
 		}
-		// Attribute to the authenticated connection identity, not the
-		// envelope's From field, which a buggy or hostile peer controls.
-		st.received.Add(1)
-		if id, ok := message.TxnOf(e.Msg); ok {
-			h.tracer.Point(id, trace.KindNetRecv, 0, hi.From, int64(e.Msg.Kind()))
+		m, err := message.DecodeMessage(buf)
+		if err != nil {
+			h.logf("decode from site %v (%v): %v", from, conn.RemoteAddr(), err)
+			return
 		}
-		h.deliver(hi.From, e.Msg)
+		if cap(buf) > maxIdleBuf {
+			buf = nil
+		}
+		st.received.Add(1)
+		st.bytesRecv.Add(int64(wire))
+		if id, ok := message.TxnOf(m); ok {
+			h.tracer.Point(id, trace.KindNetRecv, 0, from, int64(m.Kind()))
+		}
+		h.deliver(from, m)
 	}
 }
 
@@ -423,7 +415,7 @@ func (h *Host) Send(to message.SiteID, m message.Message) {
 	}
 	s := h.senders[to]
 	select {
-	case s.out <- envelope{From: h.cfg.ID, Msg: m}:
+	case s.out <- m:
 		// Counted as sent by the sender goroutine once actually written.
 		if id, ok := message.TxnOf(m); ok {
 			h.tracer.Point(id, trace.KindNetSend, 0, to, int64(m.Kind()))
@@ -487,8 +479,3 @@ func (h *Host) Do(fn func()) {
 	}
 	fn()
 }
-
-// newEncoder and newDecoder expose the wire codec for tests.
-func newEncoder(w io.Writer) *gob.Encoder { return gob.NewEncoder(w) }
-
-func newDecoder(r io.Reader) *gob.Decoder { return gob.NewDecoder(r) }

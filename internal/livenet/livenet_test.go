@@ -293,67 +293,6 @@ func TestTCPCountersAndClose(t *testing.T) {
 	hosts[0].Do(func() { t.Fatal("Do ran after Close") })
 }
 
-func TestGobRoundTripAllMessages(t *testing.T) {
-	// Every wire message must survive a gob round trip inside an envelope.
-	message.RegisterGob()
-	msgs := []message.Message{
-		&message.Bcast{Class: message.ClassCausal, Origin: 1, Seq: 2, VC: []uint64{1, 2}, Payload: &message.WriteReq{Txn: message.TxnID{Site: 1, Seq: 2}, Key: "k", Value: message.Value("v")}},
-		&message.SeqOrder{Sequencer: 0, Entries: []message.OrderEntry{{Origin: 1, Seq: 2, Index: 3}}},
-		&message.IsisPropose{Origin: 1, Seq: 2, Proposer: 3, TS: 4},
-		&message.IsisFinal{Origin: 1, Seq: 2, TS: 4, Tie: 3},
-		&message.Heartbeat{From: 1, ViewID: 2},
-		&message.ViewPropose{Proposer: 1, View: message.View{ID: 2, Members: []message.SiteID{0, 1}}},
-		&message.ViewAck{By: 1, ViewID: 2},
-		&message.ViewInstall{View: message.View{ID: 2, Members: []message.SiteID{0, 1}}},
-		&message.StateRequest{From: 1},
-		&message.StateSnapshot{From: 1, Applied: 2, Entries: []message.SnapshotEntry{{Key: "k", Versions: []message.VersionRec{{Index: 1, Writer: message.TxnID{Site: 0, Seq: 1}, Value: message.Value("v")}}}}},
-		&message.RetransmitReq{From: 1, FromIndex: 2},
-		&message.WriteAck{Txn: message.TxnID{Site: 1, Seq: 2}, OpSeq: 1, By: 2, OK: true},
-		&message.TxnNack{Txn: message.TxnID{Site: 1, Seq: 2}, By: 2, Key: "k"},
-		&message.VoteReq{Txn: message.TxnID{Site: 1, Seq: 2}},
-		&message.Vote{Txn: message.TxnID{Site: 1, Seq: 2}, By: 1, Yes: true},
-		&message.Decision{Txn: message.TxnID{Site: 1, Seq: 2}, Commit: true, NOps: 3},
-		&message.CommitReq{Txn: message.TxnID{Site: 1, Seq: 2}, Reads: []message.KeyVer{{Key: "k", Ver: 1}}, NWrites: 1},
-		&message.CausalNull{From: 1},
-		&message.UWrite{Txn: message.TxnID{Site: 1, Seq: 2}, OpSeq: 1, Key: "k", Value: message.Value("v")},
-		&message.UWriteAck{Txn: message.TxnID{Site: 1, Seq: 2}, OpSeq: 1, By: 2, OK: true},
-		&message.Wound{Txn: message.TxnID{Site: 1, Seq: 2}, By: 2},
-		&message.Prepare{Txn: message.TxnID{Site: 1, Seq: 2}},
-		&message.PrepareVote{Txn: message.TxnID{Site: 1, Seq: 2}, By: 1, Yes: true},
-		&message.PDecision{Txn: message.TxnID{Site: 1, Seq: 2}, Commit: true},
-		&message.WriteBatch{Txn: message.TxnID{Site: 1, Seq: 2}, Writes: []message.KV{{Key: "k", Value: message.Value("v")}}},
-		&message.QReadReq{Txn: message.TxnID{Site: 1, Seq: 2}, Key: "k"},
-		&message.QReadReply{Txn: message.TxnID{Site: 1, Seq: 2}, Key: "k", Found: true, Value: message.Value("v")},
-		&message.QLockReq{Txn: message.TxnID{Site: 1, Seq: 2}, Keys: []message.Key{"k"}},
-		&message.QLockReply{Txn: message.TxnID{Site: 1, Seq: 2}, Vers: []message.KeyVer{{Key: "k", Ver: 1}}},
-		&message.QCommit{Txn: message.TxnID{Site: 1, Seq: 2}, Writes: []message.KV{{Key: "k", Value: message.Value("v")}}},
-		&message.QRelease{Txn: message.TxnID{Site: 1, Seq: 2}},
-	}
-	// Round trip over a real pipe, like the host does.
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go func() {
-		enc := newEncoder(a)
-		for _, m := range msgs {
-			if err := enc.Encode(envelope{From: 1, Msg: m}); err != nil {
-				t.Errorf("encode %v: %v", m.Kind(), err)
-				return
-			}
-		}
-	}()
-	dec := newDecoder(b)
-	for _, want := range msgs {
-		var e envelope
-		if err := dec.Decode(&e); err != nil {
-			t.Fatalf("decode %v: %v", want.Kind(), err)
-		}
-		if e.Msg.Kind() != want.Kind() {
-			t.Fatalf("kind mismatch: got %v want %v", e.Msg.Kind(), want.Kind())
-		}
-	}
-}
-
 // TestTCPSoakMixedLoad drives sustained concurrent mixed traffic through a
 // 5-site atomic TCP cluster and verifies convergence and counter sanity —
 // the live-network analogue of the simulator soak.

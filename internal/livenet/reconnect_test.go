@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"sync"
@@ -70,7 +69,7 @@ func waitFrom(t *testing.T, node *captureNode, id message.SiteID, send func()) {
 }
 
 // TestReconnectAfterRestart kills one host of a 3-site cluster mid-workload,
-// restarts it on the same address, and asserts envelopes flow to it again —
+// restarts it on the same address, and asserts messages flow to it again —
 // the accept-loop and sender-redial chaos test.
 func TestReconnectAfterRestart(t *testing.T) {
 	addrs := make(map[message.SiteID]string, 3)
@@ -185,46 +184,6 @@ func TestAcceptLoopSurvivesTransientError(t *testing.T) {
 	waitFrom(t, nodeA, 1, func() { hostB.Send(0, &message.Heartbeat{From: 1}) })
 }
 
-// TestHandshakeRejected verifies connections that fail the hello handshake
-// (wrong magic or unknown site) deliver nothing and are closed.
-func TestHandshakeRejected(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := map[message.SiteID]string{0: ln.Addr().String()}
-	host, node := startRawHost(t, 0, addrs, ln)
-	t.Cleanup(host.Close)
-
-	for name, hi := range map[string]hello{
-		"bad magic":    {Magic: 0xDEAD, From: 0},
-		"unknown site": {Magic: helloMagic, From: 42},
-	} {
-		conn, err := net.Dial("tcp", host.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := gob.NewEncoder(conn)
-		if err := enc.Encode(hi); err != nil {
-			t.Fatalf("%s: encode hello: %v", name, err)
-		}
-		// Spoofed envelope claiming to be site 0 itself.
-		_ = enc.Encode(envelope{From: 0, Msg: &message.Heartbeat{From: 0}})
-		// The host must close the connection on us.
-		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if _, err := conn.Read(make([]byte, 1)); err == nil {
-			t.Fatalf("%s: connection not closed", name)
-		}
-		conn.Close()
-	}
-	if got := node.countFrom(0) + node.countFrom(42); got != 0 {
-		t.Fatalf("rejected connections delivered %d messages", got)
-	}
-	if _, received, _ := host.Counters(); received != 0 {
-		t.Fatalf("received counter = %d after rejected handshakes", received)
-	}
-}
-
 // TestSelfSendDelivered verifies the env.Runtime contract that sends to
 // self are delivered like any other message (the simulator does; the TCP
 // runtime used to drop them silently).
@@ -252,7 +211,7 @@ func TestSelfSendDelivered(t *testing.T) {
 }
 
 // TestWriteCoalescing drives a burst through one link and checks the
-// flush-batch histogram recorded multi-envelope batches.
+// flush-batch histogram recorded multi-message batches.
 func TestWriteCoalescing(t *testing.T) {
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -287,10 +246,10 @@ func TestWriteCoalescing(t *testing.T) {
 			flushes = hostA.stats[1].flushBatch.Count()
 		}
 	}
-	// Coalescing means strictly fewer flushes than envelopes: the sender
+	// Coalescing means strictly fewer flushes than messages: the sender
 	// drains whatever queued while the previous batch was being written.
 	if flushes == 0 || flushes >= burst {
-		t.Fatalf("flush count %d for %d envelopes — no coalescing", flushes, burst)
+		t.Fatalf("flush count %d for %d messages — no coalescing", flushes, burst)
 	}
 }
 

@@ -1,8 +1,6 @@
 package livenet
 
 import (
-	"bufio"
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"time"
@@ -10,23 +8,17 @@ import (
 	"repro/internal/message"
 )
 
-const (
-	// senderBufSize is the bufio.Writer capacity in front of each outbound
-	// connection; one flush per queue drain replaces one syscall per
-	// gob-encoded envelope.
-	senderBufSize = 64 << 10
-	// maxFlushBatch bounds how many envelopes one drain coalesces, so a
-	// deep queue cannot arbitrarily delay the first message of the batch.
-	maxFlushBatch = 256
-)
+// maxFlushBatch bounds how many messages one drain coalesces, so a deep
+// queue cannot arbitrarily delay the first message of the batch.
+const maxFlushBatch = 256
 
 // sender owns the outgoing connection to one peer: it dials lazily (with
 // jittered exponential backoff), performs the hello handshake, and drains
-// its queue in coalesced batches — encode every pending envelope into the
-// buffered writer, then flush once.
+// its queue in coalesced batches — encode every pending message into one
+// reusable buffer, then write it once.
 //
 // Loss semantics mirror the simulator's lossy FIFO link: a message is never
-// duplicated. While disconnected, popped envelopes are held (not dropped)
+// duplicated. While disconnected, popped messages are held (not dropped)
 // until a connection is established; once a batch has been handed to an
 // established connection, a write error loses the whole batch (counted in
 // wireLost) because its delivery state is unknowable — retransmitting could
@@ -35,7 +27,7 @@ type sender struct {
 	host  *Host
 	to    message.SiteID
 	addr  string
-	out   chan envelope
+	out   chan message.Message
 	rng   *rand.Rand // jitter source; touched only by the run goroutine
 	stats *peerCounters
 }
@@ -44,79 +36,88 @@ type sender struct {
 func (s *sender) run() {
 	defer s.host.wg.Done()
 	var conn net.Conn
-	var bw *bufio.Writer
-	var enc *gob.Encoder
 	defer func() {
 		if conn != nil {
 			conn.Close()
 		}
 	}()
-	batch := make([]envelope, 0, maxFlushBatch)
+	batch := make([]message.Message, 0, maxFlushBatch)
+	var buf []byte // the batch's frames; reused across batches
 	for {
 		select {
 		case <-s.host.stop:
 			return
-		case e := <-s.out:
-			batch = append(batch[:0], e)
+		case m := <-s.out:
+			batch = append(batch[:0], m)
 		drain:
 			for len(batch) < maxFlushBatch {
 				select {
-				case e := <-s.out:
-					batch = append(batch, e)
+				case m := <-s.out:
+					batch = append(batch, m)
 				default:
 					break drain
 				}
 			}
 			if conn == nil {
-				conn, bw, enc = s.connect()
-				if conn == nil {
+				if conn = s.connect(); conn == nil {
 					return // host shut down while dialing
 				}
 			}
-			ok := true
-			for _, e := range batch {
-				if err := enc.Encode(e); err != nil {
-					s.host.logf("send to %v: %v", s.to, err)
-					ok = false
-					break
-				}
-			}
-			if ok {
-				if err := bw.Flush(); err != nil {
-					s.host.logf("flush to %v: %v", s.to, err)
-					ok = false
-				}
-			}
-			if ok {
+			var err error
+			if buf, err = s.writeBatch(conn, buf, batch); err == nil {
 				s.stats.sent.Add(int64(len(batch)))
 				s.stats.flushBatch.Observe(time.Duration(len(batch)))
 			} else {
+				s.host.logf("send to %v: %v", s.to, err)
 				s.stats.wireLost.Add(int64(len(batch)))
 				conn.Close()
-				conn, bw, enc = nil, nil, nil
+				conn = nil
+			}
+			if cap(buf) > maxIdleBuf {
+				buf = nil
 			}
 		}
 	}
 }
 
+// writeBatch encodes batch into buf and writes it to conn, returning buf
+// for the next batch. That is one Write per batch unless the batch outgrows
+// ioChunk: a burst of state-transfer chunks goes out piecewise instead of
+// being buffered whole.
+func (s *sender) writeBatch(conn net.Conn, buf []byte, batch []message.Message) ([]byte, error) {
+	buf = buf[:0]
+	for i, m := range batch {
+		buf = appendFrame(buf, m)
+		if len(buf) < ioChunk && i < len(batch)-1 {
+			continue
+		}
+		if _, err := conn.Write(buf); err != nil {
+			return buf, err
+		}
+		s.stats.bytesSent.Add(int64(len(buf)))
+		buf = buf[:0]
+	}
+	return buf, nil
+}
+
 // connect dials s.addr until a connection is established and the hello
 // handshake is written, backing off exponentially with ±50% jitter between
-// attempts. It returns nils only when the host shuts down.
-func (s *sender) connect() (net.Conn, *bufio.Writer, *gob.Encoder) {
+// attempts. It returns nil only when the host shuts down.
+func (s *sender) connect() net.Conn {
 	backoff := s.host.cfg.DialRetry
 	for {
-		if conn, bw, enc, err := s.dialOnce(); err == nil {
+		conn, err := s.dialOnce()
+		if err == nil {
 			s.stats.connects.Add(1)
-			return conn, bw, enc
-		} else {
-			s.stats.dialErrors.Add(1)
-			s.host.logf("dial %v (%s): %v (retry in ~%v)", s.to, s.addr, err, backoff)
+			return conn
 		}
+		s.stats.dialErrors.Add(1)
+		s.host.logf("dial %v (%s): %v (retry in ~%v)", s.to, s.addr, err, backoff)
 		// Full jitter around the current backoff: sleep in [b/2, 3b/2).
 		sleep := backoff/2 + time.Duration(s.rng.Int63n(int64(backoff)))
 		select {
 		case <-s.host.stop:
-			return nil, nil, nil
+			return nil
 		case <-time.After(sleep):
 		}
 		backoff *= 2
@@ -127,20 +128,15 @@ func (s *sender) connect() (net.Conn, *bufio.Writer, *gob.Encoder) {
 }
 
 // dialOnce makes one connection attempt, including the handshake frame.
-func (s *sender) dialOnce() (net.Conn, *bufio.Writer, *gob.Encoder, error) {
+func (s *sender) dialOnce() (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", s.addr, dialTimeout)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	bw := bufio.NewWriterSize(conn, senderBufSize)
-	enc := gob.NewEncoder(bw)
-	err = enc.Encode(hello{Magic: helloMagic, From: s.host.cfg.ID})
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err != nil {
+	var hello [helloSize]byte
+	if _, err := conn.Write(appendHello(hello[:0], s.host.cfg.ID)); err != nil {
 		conn.Close()
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return conn, bw, enc, nil
+	return conn, nil
 }

@@ -820,8 +820,9 @@ type ShardRecovery struct {
 	Fenced   []TxnID
 }
 
-// RegisterGob registers every concrete message type with encoding/gob so
-// the TCP runtime can transport them. Safe to call more than once.
+// RegisterGob registers every concrete message type with encoding/gob, for
+// the checkpoint files that embed messages (internal/checkpoint). The TCP
+// wire does not use gob; see codec.go. Safe to call more than once.
 func RegisterGob() {
 	gob.Register(&Bcast{})
 	gob.Register(&SeqOrder{})

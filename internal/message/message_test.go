@@ -40,8 +40,7 @@ func TestViewHas(t *testing.T) {
 // TestKindStringsComplete ensures every message type's kind has a name —
 // catching a forgotten map entry when a new message is added.
 func TestKindStringsComplete(t *testing.T) {
-	msgs := allMessages()
-	for _, m := range msgs {
+	for _, m := range codecSamples() {
 		s := m.Kind().String()
 		if s == "" || s[0] == 'K' && len(s) > 5 && s[:5] == "Kind(" {
 			t.Fatalf("kind %d has no name", m.Kind())
@@ -54,7 +53,7 @@ func TestKindStringsComplete(t *testing.T) {
 
 // TestEstimateSizePositive ensures the size model covers every message.
 func TestEstimateSizePositive(t *testing.T) {
-	for _, m := range allMessages() {
+	for _, m := range codecSamples() {
 		if n := EstimateSize(m); n <= 0 {
 			t.Fatalf("%v estimated size %d", m.Kind(), n)
 		}
@@ -81,30 +80,5 @@ func TestClassStrings(t *testing.T) {
 		if c.String() != want {
 			t.Fatalf("%d -> %q", c, c.String())
 		}
-	}
-}
-
-func allMessages() []Message {
-	id := TxnID{Site: 1, Seq: 2}
-	return []Message{
-		&Bcast{Class: ClassReliable, Origin: 1, Seq: 1, Payload: &CausalNull{}},
-		&SeqOrder{Entries: []OrderEntry{{Origin: 1, Seq: 1, Index: 1}}},
-		&IsisPropose{}, &IsisFinal{},
-		&Heartbeat{}, &ViewPropose{}, &ViewAck{}, &ViewInstall{},
-		&StateRequest{}, &StateSnapshot{Entries: []SnapshotEntry{{Key: "k", Versions: []VersionRec{{Value: Value("v")}}}}},
-		&RetransmitReq{},
-		&WriteReq{Txn: id, Key: "k", Value: Value("v")},
-		&WriteAck{Txn: id}, &TxnNack{Txn: id, Key: "k"},
-		&VoteReq{Txn: id}, &Vote{Txn: id}, &Decision{Txn: id},
-		&CommitReq{Txn: id, Reads: []KeyVer{{Key: "k"}}, WriteKV: []KV{{Key: "k", Value: Value("v")}}},
-		&CausalNull{}, &WriteBatch{Txn: id, Writes: []KV{{Key: "k", Value: Value("v")}}},
-		&UWrite{Txn: id, Key: "k", Value: Value("v")}, &UWriteAck{Txn: id},
-		&Wound{Txn: id}, &Prepare{Txn: id}, &PrepareVote{Txn: id}, &PDecision{Txn: id},
-		&QReadReq{Txn: id, Key: "k"},
-		&QReadReply{Txn: id, Key: "k", Value: Value("v"), Found: true},
-		&QLockReq{Txn: id, Keys: []Key{"k"}},
-		&QLockReply{Txn: id, Vers: []KeyVer{{Key: "k", Ver: 1}}},
-		&QCommit{Txn: id, Writes: []KV{{Key: "k", Value: Value("v")}}, Vers: []KeyVer{{Key: "k", Ver: 2}}},
-		&QRelease{Txn: id},
 	}
 }
