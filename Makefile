@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race lint lint-reprolint tracecheck fuzz clean
+.PHONY: all build test race lint lint-reprolint tracecheck bench-identical fuzz clean
 
 all: build test lint
 
@@ -45,6 +45,17 @@ tracecheck:
 	$(BIN)/simtrace -proto atomic -atomic-mode sequencer -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck
 	$(BIN)/simtrace -proto atomic -atomic-mode isis -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck
 	$(BIN)/simtrace -proto atomic -atomic-mode batch -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck
+
+# bench-identical is the byte-identity oracle for refactors: two
+# `benchrunner -json` documents (A=<json> B=<json>) must not differ once the
+# four wall-clock keys are dropped -- the date and E13's measured
+# group-commit throughputs and their ratio. Everything else runs in virtual
+# time from fixed seeds, so any remaining line is a behaviour change.
+BENCH_WALLCLOCK := "date"|wall_txn_per_sec|group_commit_speedup
+bench-identical: SHELL := bash
+bench-identical:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-identical A=<json> B=<json>"; exit 2; }
+	diff <(grep -Ev '$(BENCH_WALLCLOCK)' $(A)) <(grep -Ev '$(BENCH_WALLCLOCK)' $(B))
 
 # fuzz mirrors CI's fuzz sweeps: 30s per fuzz target of the packages that
 # decode bytes they did not write (WAL files, the TCP wire).

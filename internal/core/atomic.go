@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sort"
 	"time"
 
@@ -10,8 +9,6 @@ import (
 	"repro/internal/env"
 	"repro/internal/membership"
 	"repro/internal/message"
-	"repro/internal/sgraph"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -31,30 +28,15 @@ import (
 // committed snapshot, so read-only transactions never broadcast, never
 // block, and never abort.
 type AtomicEngine struct {
-	*base
-	stack *broadcast.Stack
+	*replicaGroup // the one replication group: every site, on the site runtime
 
 	pendingWrites map[message.TxnID][]message.KV
-	lastCommit    map[message.Key]uint64
-	certIndex     uint64 // total-order index of the last processed request
 	queue         []certItem
 
-	// Resynchronization state: a site that fell out of the primary
-	// partition stops serving (stale) and, on rejoining, performs a state
-	// transfer followed by gap repair of the ordered stream.
-	stale       bool
+	// Resynchronization: a site that fell out of the primary partition
+	// stops serving (stale) and, on rejoining, requests a state transfer.
 	syncPending bool
-	lastGap     uint64
 	lastStall   uint64
-
-	// Chunked state-transfer reassembly: chunks of one transfer share
-	// (From, Applied, Since); a newer generation discards a stale partial
-	// one. chunkLast is -1 until the Last chunk names the set's extent.
-	chunkFrom    message.SiteID
-	chunkApplied uint64
-	chunkSince   uint64
-	chunkBuf     map[int]*message.SnapshotChunk
-	chunkLast    int
 
 	// drainScheduled coalesces certification under the batch orderer: the
 	// broadcast stack delivers a sealed batch's requests back to back in
@@ -74,43 +56,16 @@ var _ Engine = (*AtomicEngine)(nil)
 
 // NewAtomic creates a protocol A engine on rt.
 func NewAtomic(rt env.Runtime, cfg Config) *AtomicEngine {
-	e := &AtomicEngine{
-		base:          newBase(rt, cfg, "atomic"),
-		pendingWrites: make(map[message.TxnID][]message.KV),
-		lastCommit:    make(map[message.Key]uint64),
-		chunkLast:     -1,
+	b := newBase(rt, cfg, "atomic")
+	e := &AtomicEngine{pendingWrites: make(map[message.TxnID][]message.KV)}
+	e.replicaGroup = &replicaGroup{
+		base: b, rt: rt, view: b.members, store: b.store, pipe: b.pipe,
+		export:    func() carriage { return carriage{Pending: e.clonePending()} },
+		installed: e.adoptPending,
 	}
 	e.initMembership(func(_, _ message.View) { e.onViewChange() })
-	e.stack = broadcast.New(rt, broadcast.Config{
-		Deliver:          e.deliver,
-		Relay:            cfg.Relay,
-		Atomic:           cfg.AtomicMode,
-		Members:          e.members,
-		Tracer:           cfg.Tracer,
-		BatchWindow:      cfg.AtomicBatchWindow,
-		BatchMaxMsgs:     cfg.AtomicBatchMsgs,
-		BatchMaxBytes:    cfg.AtomicBatchBytes,
-		HistoryRetention: cfg.HistoryRetention,
-	})
-	if cfg.InitialStore != nil {
-		// Resume certification from the recovered state: the total-order
-		// stream continues past the recovered index (enable Membership so
-		// gap repair can fetch anything missed while down).
-		e.certIndex = e.store.Applied()
-		for _, entry := range e.store.Snapshot() {
-			if n := len(entry.Versions); n > 0 {
-				e.lastCommit[entry.Key] = entry.Versions[n-1].Index
-			}
-		}
-		e.stack.SkipTo(e.certIndex + 1)
-	}
-	if cfg.InitialStack != nil {
-		// Resume broadcast frontiers from the recovered checkpoint so new
-		// broadcasts number above the pre-crash sequences and peers'
-		// deliveries are not held for seq 1.
-		e.stack.ImportSync(cfg.InitialStack)
-	}
-	e.initCheckpoint(e.stack.ExportSync)
+	e.open(e.deliver, cfg.Checkpoint, cfg.InitialStack)
+	b.ckpt = e.ckpt // the site's checkpointer (Checkpointer, startCheckpoint) is the group's
 	return e
 }
 
@@ -123,41 +78,19 @@ func (e *AtomicEngine) Start() {
 	}
 }
 
-// probeInterval is the gap-detector pace, configurable for experiments.
-func (e *AtomicEngine) probeInterval() time.Duration {
-	if e.cfg.GapProbeInterval > 0 {
-		return e.cfg.GapProbeInterval
-	}
-	return gapProbeInterval
-}
-
-// gapProbeInterval paces the ordered-stream gap detector.
-const gapProbeInterval = 200 * time.Millisecond
-
-// gapProbe requests retransmission when the same total-order gap persists
-// across two probes (a young gap is usually just in-flight traffic), and
-// escalates to a full state transfer when retransmission cannot help: a
-// certification stall (see below) only a snapshot can clear.
+// gapProbe runs the group's gap detector and, when the ordered stream is
+// whole, escalates to a full state transfer where retransmission cannot
+// help: a certification stall (see below) only a snapshot can clear.
 func (e *AtomicEngine) gapProbe() {
 	defer e.rt.SetTimer(e.probeInterval(), e.gapProbe)
-	if e.stale {
-		return
-	}
-	if idx, ok := e.stack.Gap(); ok {
+	switch {
+	case e.stale:
+		// Resynchronizing: the pending state transfer covers any gap.
+	case e.probe():
 		e.lastStall = 0
-		if idx != e.lastGap {
-			e.lastGap = idx
-			return
-		}
-		donor := e.donor()
-		if donor == e.rt.ID() {
-			return
-		}
-		e.rt.Send(donor, &message.RetransmitReq{From: e.rt.ID(), FromIndex: idx, Applied: e.haveIndex()})
-		return
+	default:
+		e.checkCertStall()
 	}
-	e.lastGap = 0
-	e.checkCertStall()
 }
 
 // checkCertStall escalates a persistent certification stall to a snapshot
@@ -189,44 +122,20 @@ func (e *AtomicEngine) checkCertStall() {
 	}
 }
 
-// donor picks the peer to resynchronize from: the lowest other member of
-// the current view.
-func (e *AtomicEngine) donor() message.SiteID {
-	for _, m := range e.members() {
-		if m != e.rt.ID() {
-			return m
-		}
-	}
-	return e.rt.ID()
-}
-
 // Receive implements env.Node.
 func (e *AtomicEngine) Receive(from message.SiteID, m message.Message) {
 	e.observe(from)
 	switch {
-	case broadcast.Handles(m):
-		e.stack.Handle(from, m)
+	case e.receive(from, m):
+		// The group's own traffic: stack, state transfer, gap repair.
 	case membership.Handles(m):
 		if e.mem != nil {
 			e.mem.Handle(from, m)
 		}
+	case m.Kind() == message.KindHeartbeat:
+		// Liveness only.
 	default:
-		switch t := m.(type) {
-		case *message.Heartbeat:
-			// Liveness only.
-		case *message.StateRequest:
-			e.onStateRequest(t)
-		case *message.StateSnapshot:
-			e.onStateSnapshot(t)
-		case *message.SnapshotChunk:
-			e.onSnapshotChunk(t)
-		case *message.RetransmitReq:
-			e.onRetransmitReq(t)
-		case *message.SyncState:
-			e.onSyncState(t)
-		default:
-			e.rt.Logf("atomic: unexpected %v from %v", m.Kind(), from)
-		}
+		e.rt.Logf("atomic: unexpected %v from %v", m.Kind(), from)
 	}
 }
 
@@ -248,25 +157,12 @@ func (e *AtomicEngine) Read(tx *Tx, key message.Key, cb func(message.Value, erro
 		cb(nil, err)
 		return
 	}
-	rec, ok, err := e.store.GetAt(key, tx.snapshot)
+	val, ver, err := snapshotRead(tx, e.store, key, tx.snapshot)
 	if err != nil {
-		// Snapshot fell below the GC horizon: surface it; the client
-		// aborts and restarts on a fresh snapshot.
-		if errors.Is(err, storage.ErrVersionGone) {
-			cb(nil, err)
-			return
-		}
 		cb(nil, err)
 		return
 	}
-	var from message.TxnID
-	var val message.Value
-	ver := uint64(0)
-	if ok {
-		from, val, ver = rec.Writer, rec.Value, rec.Index
-	}
-	tx.reads = append(tx.reads, sgraph.ReadObs{Key: key, From: from})
-	tx.readVers = append(tx.readVers, message.KeyVer{Key: key, Ver: ver})
+	tx.readVers = append(tx.readVers, ver)
 	cb(val, nil)
 }
 
@@ -412,50 +308,18 @@ func (e *AtomicEngine) drain() {
 // the certification closure runs the deterministic rule identically at
 // every site, at the request's total-order index.
 func (e *AtomicEngine) certTxn(idx uint64, req *message.CommitReq, writes []message.KV, at time.Duration) commitpipe.Txn {
-	return commitpipe.Txn{
-		ID:      req.Txn,
-		Entries: []commitpipe.Entry{{Writes: writes, Index: idx}},
-		Certify: func() bool {
-			ok := e.certify(req)
+	return e.orderedTxn(req.Txn, idx, writes,
+		func() bool {
+			ok := e.certify(req.Reads, req.Writes, writes)
 			e.tr.Interval(req.Txn, trace.KindCertWait, at, idx, e.rt.ID(), 0)
-			certOK := int64(0)
-			if ok {
-				certOK = 1
-			}
-			e.tr.Point(req.Txn, trace.KindCert, idx, e.rt.ID(), certOK)
+			e.tr.Point(req.Txn, trace.KindCert, idx, e.rt.ID(), boolExtra(ok))
 			return ok
 		},
-		Certified: func() {
-			for _, w := range writes {
-				e.lastCommit[w.Key] = idx
-			}
-		},
-		Ack: func(committed bool) {
+		func(committed bool) {
 			if tx := e.local[req.Txn]; tx != nil {
-				if committed {
-					e.finish(tx, Committed, ReasonNone)
-				} else {
-					e.finish(tx, Aborted, ReasonCertification)
-				}
+				e.finishCertified(tx, committed)
 			}
-		},
-	}
-}
-
-// certify applies the deterministic decision rule: every read and write
-// base version must still be the key's latest committed version.
-func (e *AtomicEngine) certify(req *message.CommitReq) bool {
-	for _, kv := range req.Reads {
-		if e.lastCommit[kv.Key] > kv.Ver {
-			return false
-		}
-	}
-	for _, kv := range req.Writes {
-		if e.lastCommit[kv.Key] > kv.Ver {
-			return false
-		}
-	}
-	return true
+		})
 }
 
 // onViewChange lets the broadcast stack re-drive total ordering (sequencer
@@ -475,16 +339,6 @@ func (e *AtomicEngine) onViewChange() {
 	if e.stale && !e.syncPending {
 		e.requestState()
 	}
-}
-
-// haveIndex is the applied index advertised on state requests: the donor
-// ships only the delta above it. The FullResync ablation always requests
-// the whole state.
-func (e *AtomicEngine) haveIndex() uint64 {
-	if e.cfg.FullResync {
-		return 0
-	}
-	return e.certIndex
 }
 
 // requestState asks a donor for a state transfer, retrying until one
@@ -511,71 +365,6 @@ func (e *AtomicEngine) requestState() {
 	})
 }
 
-// onStateRequest serves a state transfer to a resynchronizing peer; a stale
-// site must not serve.
-func (e *AtomicEngine) onStateRequest(req *message.StateRequest) {
-	if e.stale {
-		return
-	}
-	e.sendSnapshot(req.From, req.HaveIndex)
-}
-
-// snapshotChunkBytes bounds the estimated payload of one SnapshotChunk.
-const snapshotChunkBytes = 64 << 10
-
-// sendSnapshot streams this site's state to a resynchronizing peer as a
-// sequence of bounded-size chunks. since is the requester's applied index:
-// when our store still retains versions above it only the delta ships;
-// since 0 (or an implausible future index) ships the full state. The final
-// chunk carries the broadcast-stack frontiers and the in-flight write
-// dissemination, so the receiver installs everything atomically once the
-// set completes.
-func (e *AtomicEngine) sendSnapshot(to message.SiteID, since uint64) {
-	if since > e.certIndex {
-		since = 0
-	}
-	var entries []message.SnapshotEntry
-	if since > 0 {
-		entries = e.store.Delta(since)
-	} else {
-		entries = e.store.Snapshot()
-	}
-	var chunks []*message.SnapshotChunk
-	cur := &message.SnapshotChunk{From: e.rt.ID(), Applied: e.certIndex, Since: since}
-	size := 0
-	for _, ent := range entries {
-		esz := len(ent.Key)
-		for _, v := range ent.Versions {
-			esz += 20 + len(v.Value)
-		}
-		if size > 0 && size+esz > snapshotChunkBytes {
-			chunks = append(chunks, cur)
-			cur = &message.SnapshotChunk{From: e.rt.ID(), Applied: e.certIndex, Since: since}
-			size = 0
-		}
-		cur.Entries = append(cur.Entries, ent)
-		size += esz
-	}
-	chunks = append(chunks, cur) // always at least one (carries the stack)
-	last := chunks[len(chunks)-1]
-	last.Last = true
-	last.Stack = e.stack.ExportSync()
-	last.Pending = e.clonePending()
-	for i, c := range chunks {
-		c.Seq = i
-		e.stats.StateChunksSent++
-		e.stats.StateBytesSent += int64(message.EstimateSize(c))
-		e.stats.StateEntriesSent += int64(len(c.Entries))
-		e.rt.Send(to, c)
-	}
-	mode := "delta"
-	if since == 0 {
-		mode = "full"
-	}
-	e.rt.Logf("atomic: sent %s state transfer to %v: %d entries in %d chunks (applied %d, since %d)",
-		mode, to, len(entries), len(chunks), e.certIndex, since)
-}
-
 // clonePending copies the pending-write map (slice headers shared: senders
 // only ever append) for embedding in an outgoing message.
 func (e *AtomicEngine) clonePending() map[message.TxnID][]message.KV {
@@ -599,117 +388,27 @@ func (e *AtomicEngine) mergePending(pending map[message.TxnID][]message.KV) {
 	}
 }
 
-// onSyncState merges frontier state piggybacked on the gap-repair path,
-// then re-drives certification with the adopted writes.
-func (e *AtomicEngine) onSyncState(ss *message.SyncState) {
-	e.mergePending(ss.Pending)
-	e.stack.ImportSync(ss.Stack)
-	e.drain()
-}
-
-// onStateSnapshot installs a legacy monolithic state transfer. Current
-// donors stream SnapshotChunk sets instead; this path remains for mixed
-// clusters and tests that hand-build a full snapshot.
-func (e *AtomicEngine) onStateSnapshot(snap *message.StateSnapshot) {
-	// Accept when resynchronizing, or when a gap outran the donor's
-	// retransmission window and the snapshot is genuinely ahead.
-	if !e.stale && snap.Applied <= e.certIndex {
-		return
+// adoptPending is the group's installed callback: it adopts the donor's
+// in-flight write dissemination. A completed transfer replaces this site's
+// queue and pending writes — certification restarts from the transfer — and
+// drops the site's pre-transfer apply history from the recorder, which
+// replays from the transfer, not the stream. A SyncState merges, and
+// re-drives certification with the adopted writes once the stack frontiers
+// are in.
+func (e *AtomicEngine) adoptPending(c carriage, transfer bool) func() {
+	if !transfer {
+		e.mergePending(c.Pending)
+		return e.drain
 	}
-	e.installState(snap.Entries, snap.Applied, 0, snap.Stack, snap.Pending)
-}
-
-// onSnapshotChunk buffers one piece of a chunked state transfer and
-// installs the whole set once every chunk has arrived. Chunks may reorder
-// in flight; (From, Applied, Since) identifies the transfer generation and
-// a newer generation discards a stale partial one.
-func (e *AtomicEngine) onSnapshotChunk(c *message.SnapshotChunk) {
-	if !e.stale && c.Applied <= e.certIndex {
-		return // already caught up past this transfer
-	}
-	if c.From != e.chunkFrom || c.Applied != e.chunkApplied || c.Since != e.chunkSince {
-		if len(e.chunkBuf) > 0 && c.Applied < e.chunkApplied {
-			return // stale straggler from an older transfer
-		}
-		e.chunkFrom, e.chunkApplied, e.chunkSince = c.From, c.Applied, c.Since
-		e.chunkBuf = make(map[int]*message.SnapshotChunk)
-		e.chunkLast = -1
-	}
-	e.chunkBuf[c.Seq] = c
-	if c.Last {
-		e.chunkLast = c.Seq
-	}
-	if e.chunkLast < 0 || len(e.chunkBuf) != e.chunkLast+1 {
-		return // incomplete
-	}
-	var entries []message.SnapshotEntry
-	for i := 0; i <= e.chunkLast; i++ {
-		entries = append(entries, e.chunkBuf[i].Entries...)
-	}
-	last := e.chunkBuf[e.chunkLast]
-	e.chunkBuf = nil
-	e.chunkLast = -1
-	e.installState(entries, last.Applied, last.Since, last.Stack, last.Pending)
-}
-
-// installState adopts a completed state transfer and fast-forwards the
-// ordered stream past it. since > 0 marks a delta computed against our own
-// applied index: the entries merge into the existing chains instead of
-// replacing the store wholesale. The site's pre-transfer apply history is
-// dropped from the recorder: it replays from the transfer, not the stream.
-func (e *AtomicEngine) installState(entries []message.SnapshotEntry, applied, since uint64, stack *message.StackSync, pending map[message.TxnID][]message.KV) {
-	if since > 0 {
-		e.store.MergeDelta(entries, applied)
-		for _, entry := range entries {
-			if n := len(entry.Versions); n > 0 {
-				e.lastCommit[entry.Key] = entry.Versions[n-1].Index
-			}
-		}
-	} else {
-		e.store.Restore(entries, applied)
-		e.lastCommit = make(map[message.Key]uint64, len(entries))
-		for _, entry := range entries {
-			if n := len(entry.Versions); n > 0 {
-				e.lastCommit[entry.Key] = entry.Versions[n-1].Index
-			}
-		}
-	}
-	e.certIndex = applied
 	e.queue = nil
 	e.pendingWrites = make(map[message.TxnID][]message.KV)
-	e.mergePending(pending)
-	e.stack.ImportSync(stack)
-	e.stack.SkipTo(applied + 1)
+	e.mergePending(c.Pending)
 	if e.cfg.Recorder != nil {
 		e.cfg.Recorder.DropSite(e.rt.ID())
 	}
-	e.stale = false
 	e.syncPending = false
-	e.lastGap = 0
 	e.lastStall = 0
-	e.rt.Logf("atomic: resynchronized at index %d (%d keys, since %d)", applied, len(entries), since)
-}
-
-// onRetransmitReq resends retained ordered broadcasts; if the requester is
-// below the retention window it gets a state transfer instead, computed
-// against the applied index it advertised.
-func (e *AtomicEngine) onRetransmitReq(req *message.RetransmitReq) {
-	if e.stale {
-		return
-	}
-	if n := e.stack.Retransmit(req.From, req.FromIndex); n == 0 {
-		e.sendSnapshot(req.From, req.Applied)
-		return
-	}
-	// Retransmission alone rebuilds the ordered stream but not the causal
-	// and send-sequence frontiers a restarted site is missing; piggyback
-	// them so it can both deliver peers' ongoing writes and originate new
-	// broadcasts peers will accept.
-	e.rt.Send(req.From, &message.SyncState{
-		From:    e.rt.ID(),
-		Stack:   e.stack.ExportSync(),
-		Pending: e.clonePending(),
-	})
+	return nil
 }
 
 func (e *AtomicEngine) localTxns() []*Tx {

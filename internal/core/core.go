@@ -409,17 +409,7 @@ func newBase(rt env.Runtime, cfg Config, name string) *base {
 		stats: newStats(),
 		tr:    cfg.Tracer,
 	}
-	b.pipe = commitpipe.New(commitpipe.Config{
-		Site:     rt.ID(),
-		Store:    st,
-		Policy:   cfg.GroupCommit,
-		SetTimer: func(d time.Duration, fn func()) { rt.SetTimer(d, fn) },
-		Now:      rt.Now,
-		Recorder: cfg.Recorder,
-		Tracer:   cfg.Tracer,
-		OnApply:  func(message.TxnID) { b.stats.Applied++ },
-		Logf:     rt.Logf,
-	})
+	b.pipe = b.newPipeline(st)
 	if cfg.Tracer != nil {
 		b.locks.Tracer = cfg.Tracer
 		b.locks.Now = rt.Now
@@ -427,40 +417,58 @@ func newBase(rt env.Runtime, cfg Config, name string) *base {
 	return b
 }
 
-// initCheckpoint wires the background checkpointer when Config.Checkpoint
-// is enabled. exportStack captures the engine's broadcast-stack frontiers
-// alongside the store (nil for the stackless baseline/quorum engines). All
-// hooks run on the event loop.
-func (b *base) initCheckpoint(exportStack func() *message.StackSync) {
-	if !b.cfg.Checkpoint.Enabled() {
-		return
-	}
+// newPipeline builds a commit pipeline over st: the site's own, or one
+// replication group's under partial replication.
+func (b *base) newPipeline(st *storage.Store) *commitpipe.Pipeline {
+	return commitpipe.New(commitpipe.Config{
+		Site:     b.rt.ID(),
+		Store:    st,
+		Policy:   b.cfg.GroupCommit,
+		SetTimer: func(d time.Duration, fn func()) { b.rt.SetTimer(d, fn) },
+		Now:      b.rt.Now,
+		Recorder: b.cfg.Recorder,
+		Tracer:   b.cfg.Tracer,
+		OnApply:  func(message.TxnID) { b.stats.Applied++ },
+		Logf:     b.rt.Logf,
+	})
+}
+
+// newCheckpointer wires a background checkpointer over st and its pipeline
+// (nil when pol is disabled). fill adds what the owner checkpoints beside
+// the store: broadcast-stack frontiers, cross-shard certification state.
+// All hooks run on the event loop.
+func (b *base) newCheckpointer(pol checkpoint.Policy, st *storage.Store, pipe *commitpipe.Pipeline, fill func(*checkpoint.Checkpoint)) *checkpoint.Checkpointer {
 	src := checkpoint.Source{
 		Capture: func() *checkpoint.Checkpoint {
-			ck := &checkpoint.Checkpoint{
-				Applied: b.store.Applied(),
-				Entries: b.store.Snapshot(),
-			}
-			if exportStack != nil {
-				ck.Stack = exportStack()
-			}
+			ck := &checkpoint.Checkpoint{Applied: st.Applied(), Entries: st.Snapshot()}
+			fill(ck)
 			return ck
 		},
-		Barrier: b.pipe.Barrier,
+		Barrier: pipe.Barrier,
 		Observe: func(start time.Duration, bytes int64, applied uint64, truncated int) {
 			b.stats.CheckpointLatency.Observe(b.rt.Now() - start)
 			b.tr.Interval(message.TxnID{}, trace.KindCheckpoint, start, applied, b.rt.ID(), bytes)
 		},
 	}
-	if w := b.store.WAL(); w != nil {
+	if w := st.WAL(); w != nil {
 		src.WALBytes = w.AppendedBytes
 	}
-	rt := checkpoint.Runtime{
+	return checkpoint.NewCheckpointer(pol, src, checkpoint.Runtime{
 		SetTimer: func(d time.Duration, fn func()) { b.rt.SetTimer(d, fn) },
 		Now:      b.rt.Now,
 		Logf:     b.rt.Logf,
-	}
-	b.ckpt = checkpoint.NewCheckpointer(b.cfg.Checkpoint, src, rt)
+	})
+}
+
+// initCheckpoint wires the site checkpointer of an engine that is not a
+// replication group. exportStack captures its broadcast-stack frontiers
+// alongside the store (nil for the stackless baseline/quorum engines).
+func (b *base) initCheckpoint(exportStack func() *message.StackSync) {
+	b.ckpt = b.newCheckpointer(b.cfg.Checkpoint, b.store, b.pipe, func(ck *checkpoint.Checkpoint) {
+		if exportStack != nil {
+			ck.Stack = exportStack()
+		}
+	})
 }
 
 // startCheckpoint arms the checkpointer's trigger (no-op when disabled).
@@ -598,6 +606,16 @@ func (b *base) finish(tx *Tx, o Outcome, reason AbortReason) {
 	}
 }
 
+// finishCertified completes a local transaction with its durable
+// certification outcome.
+func (b *base) finishCertified(tx *Tx, committed bool) {
+	if committed {
+		b.finish(tx, Committed, ReasonNone)
+	} else {
+		b.finish(tx, Aborted, ReasonCertification)
+	}
+}
+
 func writeKeys(writes []message.KV) []message.Key {
 	out := make([]message.Key, len(writes))
 	for i, w := range writes {
@@ -660,6 +678,26 @@ func (b *base) lockingRead(tx *Tx, key message.Key, cb func(message.Value, error
 		// Cannot happen with wait=true; defensive.
 		fire(nil, fmt.Errorf("core: unexpected lock conflict on %q", key))
 	}
+}
+
+// snapshotRead serves one protocol A read from st at snapshot index at: no
+// locks, never blocking. It records the observation and returns the value
+// with the base version certification will check. A snapshot below the GC
+// horizon surfaces storage.ErrVersionGone; the client aborts and restarts
+// on a fresh one.
+func snapshotRead(tx *Tx, st *storage.Store, key message.Key, at uint64) (message.Value, message.KeyVer, error) {
+	rec, ok, err := st.GetAt(key, at)
+	if err != nil {
+		return nil, message.KeyVer{}, err
+	}
+	var from message.TxnID
+	var val message.Value
+	ver := uint64(0)
+	if ok {
+		from, val, ver = rec.Writer, rec.Value, rec.Index
+	}
+	tx.reads = append(tx.reads, sgraph.ReadObs{Key: key, From: from})
+	return val, message.KeyVer{Key: key, Ver: ver}, nil
 }
 
 func (b *base) readPrecheck(tx *Tx) error {

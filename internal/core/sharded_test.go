@@ -181,10 +181,10 @@ func TestShardedCertificationConflict(t *testing.T) {
 // holders of one key release independently — the key stays blocked until
 // its last undecided holder's decision.
 func TestShardedCertifyBlockedFootprint(t *testing.T) {
-	g := &shardGroup{
+	g := &shardGroup{replicaGroup: &replicaGroup{
 		lastCommit: make(map[message.Key]uint64),
 		blocked:    make(map[message.Key]*blockSet),
-	}
+	}}
 	p1 := message.TxnID{Site: 1, Seq: 1}
 	p2 := message.TxnID{Site: 2, Seq: 1}
 	readOf := func(k message.Key) []message.KeyVer { return []message.KeyVer{{Key: k}} }
@@ -192,13 +192,13 @@ func TestShardedCertifyBlockedFootprint(t *testing.T) {
 
 	// p1 prepares with footprint {x written, y read}.
 	g.block(p1, []message.Key{"x", "y"}, writeOf("x"))
-	if g.certify(readOf("x"), nil) {
+	if g.certify(readOf("x"), nil, nil) {
 		t.Fatal("read of a key a blocked prepare writes must fail certification")
 	}
-	if !g.certify(readOf("y"), nil) {
+	if !g.certify(readOf("y"), nil, nil) {
 		t.Fatal("read of a key a blocked prepare only reads must pass")
 	}
-	if g.certify(nil, writeOf("x")) || g.certify(nil, writeOf("y")) {
+	if g.certify(nil, nil, writeOf("x")) || g.certify(nil, nil, writeOf("y")) {
 		t.Fatal("writes to any blocked key must fail certification")
 	}
 
@@ -206,11 +206,11 @@ func TestShardedCertifyBlockedFootprint(t *testing.T) {
 	// decision landing first must NOT unblock p1's hold on y.
 	g.block(p2, []message.Key{"y"}, nil)
 	g.unblock(p2, []message.Key{"y"})
-	if g.certify(nil, writeOf("y")) {
+	if g.certify(nil, nil, writeOf("y")) {
 		t.Fatal("y unblocked by p2's decision while p1 is still undecided")
 	}
 	g.unblock(p1, []message.Key{"x", "y"})
-	if !g.certify(readOf("x"), nil) || !g.certify(nil, writeOf("y")) {
+	if !g.certify(readOf("x"), nil, nil) || !g.certify(nil, nil, writeOf("y")) {
 		t.Fatal("footprint still blocked after the last holder's decision")
 	}
 	if len(g.blocked) != 0 {

@@ -51,11 +51,11 @@ var (
 )
 
 // AppendMessage appends m's encoding to dst and returns the extended
-// slice. It does not allocate beyond growing dst, except for the three
-// state-transfer kinds that carry maps (StateSnapshot, SnapshotChunk,
-// SyncState), which collect and sort the map keys first so that equal
-// messages encode to equal bytes. m and every message nested in it must be
-// non-nil pointers to the types of this package.
+// slice. It does not allocate beyond growing dst, except for the two
+// state-transfer kinds that carry maps (SnapshotChunk, SyncState), which
+// collect and sort the map keys first so that equal messages encode to
+// equal bytes. m and every message nested in it must be non-nil pointers to
+// the types of this package.
 //
 // reprolint:noalloc
 func AppendMessage(dst []byte, m Message) []byte {
@@ -652,13 +652,6 @@ func (e *encoder) message(m Message) {
 		e.byte(byte(KindStateRequest))
 		e.site(t.From)
 		e.uint(t.HaveIndex)
-	case *StateSnapshot:
-		e.byte(byte(KindStateSnapshot))
-		e.site(t.From)
-		e.uint(t.Applied)
-		e.snapshotEntries(t.Entries)
-		e.stackSync(t.Stack)
-		e.pending(t.Pending)
 	case *RetransmitReq:
 		e.byte(byte(KindRetransmitReq))
 		e.site(t.From)
@@ -882,11 +875,6 @@ func (d *decoder) body(kind Kind) Message {
 		return &ViewInstall{View: d.view()}
 	case KindStateRequest:
 		return &StateRequest{From: d.site(), HaveIndex: d.uint()}
-	case KindStateSnapshot:
-		return &StateSnapshot{
-			From: d.site(), Applied: d.uint(), Entries: d.snapshotEntries(),
-			Stack: d.stackSync(), Pending: d.pending(),
-		}
 	case KindRetransmitReq:
 		return &RetransmitReq{From: d.site(), FromIndex: d.uint(), Applied: d.uint()}
 	case KindWriteReq:

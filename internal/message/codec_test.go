@@ -66,8 +66,6 @@ func codecSamples() []Message {
 		&ViewAck{By: 1, ViewID: 2},
 		&ViewInstall{View: View{ID: 2, Members: []SiteID{0, 1}}},
 		&StateRequest{From: 1, HaveIndex: 77},
-		&StateSnapshot{From: 1, Applied: 2, Entries: entries, Stack: stack, Pending: pending},
-		&StateSnapshot{From: 1}, // nil Stack, nil Pending
 		&RetransmitReq{From: 1, FromIndex: 2, Applied: 1},
 		write,
 		&WriteReq{Txn: id, OpSeq: -1, Key: "", Value: nil},
@@ -170,8 +168,8 @@ func TestCodecEmptyDecodesNil(t *testing.T) {
 		{&QLockReq{Keys: []Key{}}, &QLockReq{}},
 		{&ShardPrepare{Groups: []GroupID{}}, &ShardPrepare{}},
 		{
-			&StateSnapshot{Entries: []SnapshotEntry{{Key: "k", Versions: []VersionRec{}}}, Pending: map[TxnID][]KV{}},
-			&StateSnapshot{Entries: []SnapshotEntry{{Key: "k"}}},
+			&SnapshotChunk{Entries: []SnapshotEntry{{Key: "k", Versions: []VersionRec{}}}, Pending: map[TxnID][]KV{}},
+			&SnapshotChunk{Entries: []SnapshotEntry{{Key: "k"}}},
 		},
 		{
 			&SyncState{
@@ -218,6 +216,7 @@ func TestCodecRejectsMalformed(t *testing.T) {
 		"empty":             {nil, errTruncated},
 		"nil message":       {[]byte{0}, errNil},
 		"unknown kind":      {[]byte{200, 1, 2}, nil},
+		"reserved kind 10":  {[]byte{10, 1, 2}, nil}, // retired monolithic transfer, see Kind
 		"trailing bytes":    {append(AppendMessage(nil, &VoteReq{}), 0), errTrailing},
 		"bool of 2":         {[]byte{byte(KindPDecision), 0, 1, 2}, errBool},
 		"site beyond int32": {append([]byte{byte(KindCausalNull)}, huge...), errRange},
@@ -239,6 +238,9 @@ func TestCodecRejectsMalformed(t *testing.T) {
 		if m != nil {
 			t.Errorf("%s: returned a message alongside the error", name)
 		}
+	}
+	if KindStateRequest != 9 || KindRetransmitReq != 11 {
+		t.Errorf("kinds around the reserved slot moved: StateRequest=%d RetransmitReq=%d, want 9 and 11", KindStateRequest, KindRetransmitReq)
 	}
 	// Exactly maxNesting levels is accepted.
 	if _, err := DecodeMessage(deep[2:]); err != nil {

@@ -24,7 +24,7 @@ const (
 	KindViewAck
 	KindViewInstall
 	KindStateRequest
-	KindStateSnapshot
+	_ // 10: the retired monolithic StateSnapshot; reserved so later kinds keep their wire values
 	KindRetransmitReq
 
 	// Replication protocol payloads (carried inside Bcast or sent unicast).
@@ -88,7 +88,6 @@ var kindNames = map[Kind]string{
 	KindViewAck:       "ViewAck",
 	KindViewInstall:   "ViewInstall",
 	KindStateRequest:  "StateRequest",
-	KindStateSnapshot: "StateSnapshot",
 	KindRetransmitReq: "RetransmitReq",
 	KindWriteReq:      "WriteReq",
 	KindWriteAck:      "WriteAck",
@@ -350,27 +349,11 @@ type StackSync struct {
 	Held []*Bcast
 }
 
-// StateSnapshot transfers committed database state to a rejoining site.
-type StateSnapshot struct {
-	From    SiteID
-	Applied uint64 // commit index the snapshot reflects
-	Entries []SnapshotEntry
-	// Stack resynchronizes the donor's broadcast-stack frontiers alongside
-	// the store contents.
-	Stack *StackSync
-	// Pending is the donor's in-flight write dissemination (writes delivered
-	// but not yet consumed by certification), keyed by transaction.
-	Pending map[TxnID][]KV
-}
-
-// Kind implements Message.
-func (*StateSnapshot) Kind() Kind { return KindStateSnapshot }
-
 // SnapshotChunk is one piece of a chunked state transfer. The donor splits
 // the snapshot (or, when the requester's applied index is recent enough,
 // just the delta above it) into bounded-size chunks so a rejoining site
-// catches up in O(delta) bytes instead of receiving one monolithic
-// StateSnapshot blob. Chunks of one transfer share (From, Applied, Since);
+// catches up in O(delta) bytes instead of receiving one monolithic blob.
+// Chunks of one transfer share (From, Applied, Since);
 // Seq runs 0..N-1 and the chunk with Last set carries the broadcast-stack
 // frontiers and in-flight writes, which the receiver installs only once the
 // whole set has arrived.
@@ -381,8 +364,11 @@ type SnapshotChunk struct {
 	Seq     int    // chunk position within the transfer
 	Last    bool   // set on the final chunk
 	Entries []SnapshotEntry
-	// Stack and Pending ride only the final chunk (nil elsewhere); see
-	// StateSnapshot for their semantics.
+	// Stack and Pending ride only the final chunk (nil elsewhere). Stack
+	// resynchronizes the donor's broadcast-stack frontiers alongside the
+	// store contents; Pending is the donor's in-flight write dissemination
+	// (writes delivered but not yet consumed by certification), keyed by
+	// transaction.
 	Stack   *StackSync
 	Pending map[TxnID][]KV
 	// Shard rides the final chunk of a per-group transfer under partial
@@ -833,7 +819,6 @@ func RegisterGob() {
 	gob.Register(&ViewAck{})
 	gob.Register(&ViewInstall{})
 	gob.Register(&StateRequest{})
-	gob.Register(&StateSnapshot{})
 	gob.Register(&RetransmitReq{})
 	gob.Register(&WriteReq{})
 	gob.Register(&WriteAck{})
@@ -973,16 +958,6 @@ func EstimateSize(m Message) int {
 		return hdr + 12
 	case *RetransmitReq:
 		return hdr + 20
-	case *StateSnapshot:
-		n := hdr + 12
-		for _, e := range t.Entries {
-			n += len(e.Key)
-			for _, v := range e.Versions {
-				n += 20 + len(v.Value)
-			}
-		}
-		n += stackSyncSize(t.Stack) + pendingSize(t.Pending)
-		return n
 	case *SnapshotChunk:
 		n := hdr + 29 // From + Applied + Since + Seq + Last
 		for _, e := range t.Entries {
