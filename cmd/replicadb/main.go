@@ -71,8 +71,8 @@ func run() error {
 		proto      = flag.String("proto", "causal", "replication protocol: reliable|causal|atomic|baseline|quorum")
 		client     = flag.String("client", "", "client listen address (host:port)")
 		walPath    = flag.String("wal", "", "write-ahead log: a directory for a segmented log, or a single file (optional)")
-		walBatch   = flag.Int("wal-batch", 64, "group-commit batch size in records; <= 1 syncs every record")
-		walFlush   = flag.Duration("wal-flush", 2*time.Millisecond, "group-commit max delay before a partial batch fsyncs")
+		walBatch   = flag.Int("wal-batch", 64, "> 1 turns group commit on (fsyncs leave the event loop; a batch is whatever committed during the previous fsync, not this many records); <= 1 syncs every record on the loop")
+		walFlush   = flag.Duration("wal-flush", 2*time.Millisecond, "group-commit delay bound of pipelines without a syncer thread (the simulator); a live site never waits it out")
 		walSegMB   = flag.Int64("wal-seg-bytes", storage.DefaultSegmentBytes, "segment rotation threshold in bytes (directory logs)")
 		ckptIval   = flag.Duration("checkpoint-interval", 0, "periodic checkpoint interval (0 disables the timer trigger; requires a directory -wal)")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "checkpoint once this many bytes were appended to the WAL since the last one (0 disables the bytes trigger)")
@@ -321,8 +321,10 @@ func run() error {
 	log.Printf("site %d shutting down", *id)
 	if len(groupWALs) > 0 {
 		// Flush every local group's open group-commit batch (releasing its
-		// deferred client acknowledgements) before closing the logs.
+		// deferred client acknowledgements), then stop the host — which
+		// joins the syncer — before closing the logs under it.
 		host.Do(func() { sharded.FlushPipelines() })
+		host.Close()
 		for _, g := range sharded.LocalGroups() {
 			if w := groupWALs[g]; w != nil {
 				if cerr := w.Close(); cerr != nil {
@@ -332,8 +334,10 @@ func run() error {
 		}
 	} else if wal != nil {
 		// Flush the open group-commit batch (releasing its deferred client
-		// acknowledgements) before closing the log.
+		// acknowledgements), then stop the host — which joins the syncer —
+		// before closing the log under it.
 		host.Do(func() { engine.Pipeline().Flush() })
+		host.Close()
 		if cerr := wal.Close(); cerr != nil {
 			log.Printf("site %d wal close: %v", *id, cerr)
 		}

@@ -26,11 +26,20 @@ import (
 // boundaries as "blocks" facts. Goroutine bodies (`go` statements) and
 // function literals are exempt: they do not run on the caller's loop.
 //
-// Sanctioned escapes: livenet.Host.Do is the designed bridge that hands a
-// thunk to the loop (its internal channel send is the mechanism, not a
-// violation), and the commitpipe/storage packages are the group-commit
-// layer whose WAL fsync on the loop is the deliberate, batched exception
-// that PR 5 exists to amortize — both export no blocking facts.
+// Sanctioned escape: livenet.Host.Do is the designed bridge that hands a
+// thunk to the loop (its internal lock wait is the mechanism, not a
+// violation) and exports no blocking fact.
+//
+// No package is exempt. The group-commit layer (commitpipe, storage) used
+// to be, because its WAL fsync ran on the loop; the grouped fsync now runs
+// on the host's syncer goroutine (livenet.Host.Offload takes the work as a
+// function value, which is a hand-off, not a call), so the commit hot path
+// exports no blocking fact for the plain reason that it does not block.
+// The loop-side waits that remain carry reasoned reprolint:allow comments
+// at the statement: Pipeline.drain (Flush/Barrier must return with the log
+// durable), the inline flush of a pipeline without a second thread (the
+// simulator), the refused-offload fallback during shutdown, and the
+// per-record WAL.Append of ungrouped mode.
 var NonBlock = &Analyzer{
 	Name: "nonblock",
 	Doc:  "forbid blocking primitives in code reachable from the event loop",
@@ -75,23 +84,8 @@ var nonBlockSanctioned = map[string]bool{
 	"livenet.Host.Do": true,
 }
 
-// nonBlockBarrierPkgs are skipped entirely: the group-commit layer blocks
-// on purpose (that is the whole point of batching the fsync) and must not
-// leak "blocks" facts into every engine that submits to it.
-var nonBlockBarrierPkgs = map[string]bool{
-	"commitpipe": true,
-	"storage":    true,
-}
-
 func isNonBlockSanctioned(key string) bool {
 	return nonBlockSanctioned[strings.TrimPrefix(key, "repro/internal/")]
-}
-
-func isNonBlockBarrier(path string) bool {
-	if rest, ok := strings.CutPrefix(path, "repro/internal/"); ok {
-		return nonBlockBarrierPkgs[rest]
-	}
-	return nonBlockBarrierPkgs[path]
 }
 
 // nbSeed is one direct blocking operation in a function body.
@@ -115,7 +109,7 @@ type nbBlock struct {
 }
 
 func runNonBlock(pass *Pass) error {
-	if !localPackage(pass.Path) || isNonBlockBarrier(pass.Path) {
+	if !localPackage(pass.Path) {
 		return nil
 	}
 	// Local looponly markers: LoopOnly collects them into its own pass, so

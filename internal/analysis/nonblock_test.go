@@ -41,19 +41,36 @@ func TestNonBlockImportedFacts(t *testing.T) {
 	testAnalyzerImp(t, NonBlock, "nonblock_imported", "core", facts, imp)
 }
 
-// TestNonBlockBarrierPackages: the group-commit layer is skipped wholesale.
-func TestNonBlockBarrierPackages(t *testing.T) {
-	for path, want := range map[string]bool{
-		"repro/internal/commitpipe": true,
-		"repro/internal/storage":    true,
-		"commitpipe":                true,
-		"repro/internal/core":       false,
-		"core":                      false,
-	} {
-		if got := isNonBlockBarrier(path); got != want {
-			t.Errorf("isNonBlockBarrier(%q) = %v, want %v", path, got, want)
+// TestNonBlockCommitPipeline: the group-commit layer has no package-wide
+// exemption. Its hot path exports no blocks fact because it hands the fsync
+// to another goroutine, the syncer's half does export one, the justified
+// loop-side waits (Barrier's drain, the inline mode) keep their functions'
+// summaries clean, and an unjustified wait on the loop is reported.
+func TestNonBlockCommitPipeline(t *testing.T) {
+	pass := testAnalyzer(t, NonBlock, "nonblock_commitpipe", "commitpipe", nil)
+	blocks := make(map[string]bool)
+	for _, f := range pass.ExportedFuncFacts() {
+		if f.Analyzer == "nonblock" && f.Attr == "blocks" {
+			blocks[f.Fn] = true
 		}
 	}
+	for fn, want := range map[string]bool{
+		"commitpipe.Pipeline.writeSync":   true,
+		"commitpipe.Pipeline.Unjustified": true,
+		"commitpipe.Pipeline.Submit":      false,
+		"commitpipe.Pipeline.onSynced":    false,
+		"commitpipe.Pipeline.Barrier":     false,
+		"commitpipe.Pipeline.FlushInline": false,
+	} {
+		if blocks[fn] != want {
+			t.Errorf("blocks fact for %s = %v, want %v", fn, blocks[fn], want)
+		}
+	}
+}
+
+// TestNonBlockSanctioned: the one designed escape is matched by exact key
+// under both path forms.
+func TestNonBlockSanctioned(t *testing.T) {
 	if !isNonBlockSanctioned("repro/internal/livenet.Host.Do") || !isNonBlockSanctioned("livenet.Host.Do") {
 		t.Error("livenet.Host.Do must be sanctioned under both path forms")
 	}

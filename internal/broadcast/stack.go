@@ -559,6 +559,14 @@ func (s *Stack) SkipTo(next uint64) {
 		return
 	}
 	s.anext = next
+	// Nothing in [old anext, next) will ever be delivered, hence retained,
+	// here: the retransmission history restarts at next. Keeping the old
+	// suffix (or, after a restart, historyLow = 1) would let Retransmit
+	// answer a request from inside the hole with a partial resend instead
+	// of 0, and the requester would wait for deliveries that cannot come
+	// in place of asking for a state transfer.
+	clear(s.history)
+	s.historyLow, s.historyHigh = next, next-1
 	for idx, p := range s.aorder {
 		if idx < next {
 			delete(s.apayload, p)

@@ -357,3 +357,51 @@ func TestCausalSelfDeliveryImmediate(t *testing.T) {
 	})
 	runIdle(t, c)
 }
+
+// TestRetransmitFollowsSkipTo: the retransmission history restarts where
+// SkipTo lands. A donor that restarted from a checkpoint at 99 retains only
+// what it delivered since (100, 101, ...); a request from below that suffix
+// must get 0 — "ask for a state transfer" — not a partial resend that
+// leaves the requester's gap open for a whole retention window. The same
+// holds for a site that skips ahead in mid-life: what it retained before
+// the jump no longer joins up with what it will retain after it.
+func TestRetransmitFollowsSkipTo(t *testing.T) {
+	c, nodes := makeCluster(t, 3, netsim.Fixed{Delay: time.Millisecond}, AtomicSequencer, false, 53)
+	for _, nd := range nodes {
+		nd.st.SkipTo(100)
+	}
+	for i := 1; i <= 3; i++ {
+		i := i
+		c.Schedule(time.Duration(i)*10*time.Millisecond, func() {
+			nodes[1].st.Broadcast(message.ClassAtomic, payload(1, i))
+		})
+	}
+	runIdle(t, c)
+	donor := nodes[0].st
+	if got := donor.NextAtomicIndex(); got != 103 {
+		t.Fatalf("donor next index = %d, want 103 (delivered 100..102)", got)
+	}
+	c.Schedule(0, func() {
+		if sent := donor.Retransmit(2, 50); sent != 0 {
+			t.Errorf("retransmit from 50, below the suffix retained since the restart, sent %d, want 0", sent)
+		}
+		if sent := donor.Retransmit(2, 99); sent != 0 {
+			t.Errorf("retransmit from 99 sent %d, want 0", sent)
+		}
+		if sent := donor.Retransmit(2, 101); sent != 2 {
+			t.Errorf("retransmit from 101 sent %d, want 2", sent)
+		}
+	})
+	runIdle(t, c)
+
+	donor.SkipTo(500)
+	c.Schedule(0, func() {
+		if sent := donor.Retransmit(2, 101); sent != 0 {
+			t.Errorf("retransmit from before a mid-life skip sent %d, want 0", sent)
+		}
+	})
+	runIdle(t, c)
+	if len(donor.history) != 0 {
+		t.Fatalf("history holds %d entries from before the skip", len(donor.history))
+	}
+}

@@ -30,6 +30,76 @@ func TestEnqueueAllocs(t *testing.T) {
 	}
 }
 
+// discard is a log device that keeps nothing.
+type discard struct{}
+
+func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// handOffloader keeps the one job in flight for the test to run by hand,
+// allocating nothing itself.
+type handOffloader struct{ work, done func() }
+
+func (o *handOffloader) Offload(work, done func()) bool {
+	o.work, o.done = work, done
+	return true
+}
+
+// TestSubmitAllocs pins the whole grouped Submit path, in both flush
+// modes: certification bookkeeping, staging, the store install, the WAL
+// append, queueing the acknowledgement, and the flush itself — detach,
+// write+sync, completion, acknowledgements — add no allocation to what the
+// store's own install costs. The reference is a twin store driven through
+// the same sequence of installs and log flushes without a pipeline.
+func TestSubmitAllocs(t *testing.T) {
+	const runs, perFlush = 200, 4
+	writes := []message.KV{kv("a", "1"), kv("b", "2")}
+
+	twin := storage.New(storage.NewWAL(discard{}))
+	twin.WAL().SetGrouped(true)
+	idx, n := uint64(0), 0
+	entry := []storage.BatchEntry{{Txn: txn(1, 1), Writes: writes}}
+	want := testing.AllocsPerRun(runs, func() {
+		idx++
+		entry[0].Index = idx
+		if err := twin.ApplyBatch(entry); err != nil {
+			t.Fatal(err)
+		}
+		if n++; n%perFlush == 0 {
+			if _, err := twin.WAL().Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+
+	acks := 0
+	one := Txn{ID: txn(1, 1), Entries: []Entry{{Writes: writes}}, Ack: func(bool) { acks++ }}
+
+	inline := New(Config{Store: storage.New(storage.NewWAL(discard{})), Policy: Policy{MaxBatch: perFlush}})
+	if got := testing.AllocsPerRun(runs, func() {
+		one.Entries[0].Index = 0 // a fresh commit index each run
+		inline.Submit(one)
+	}); got != want {
+		t.Fatalf("inline grouped Submit = %v allocs/op, the store's install alone = %v", got, want)
+	}
+
+	off := &handOffloader{}
+	offloaded := New(Config{Store: storage.New(storage.NewWAL(discard{})), Policy: Policy{MaxBatch: perFlush}, Offload: off.Offload})
+	n = 0
+	if got := testing.AllocsPerRun(runs, func() {
+		one.Entries[0].Index = 0
+		offloaded.Submit(one)
+		if n++; n%perFlush == 0 {
+			off.work()
+			off.done()
+		}
+	}); got != want {
+		t.Fatalf("offloaded grouped Submit = %v allocs/op, the store's install alone = %v", got, want)
+	}
+	if acks == 0 || offloaded.Pending() > 2*perFlush || offloaded.Flushes == 0 {
+		t.Fatalf("the measured path did not flush: acks=%d pending=%d flushes=%d", acks, offloaded.Pending(), offloaded.Flushes)
+	}
+}
+
 // TestDedupWritesFastPath: a duplicate-free write set passes through
 // unchanged (no copy), while a rewritten key takes the slow path and
 // keeps each key's final write.

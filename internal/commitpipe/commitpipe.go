@@ -12,13 +12,28 @@
 // own. Installs into the versioned store are synchronous — local reads must
 // observe a committed transaction as soon as its protocol decides it — but
 // durability is batched: with a grouped WAL (Policy.MaxBatch > 1) the log
-// records of consecutive commits buffer until either MaxBatch records are
-// pending or MaxDelay has elapsed, then one write + one fsync makes the
-// whole batch durable and the deferred client acknowledgements fire. That
-// is classic group commit: the fsync — the dominant hot-path cost — is
-// amortized over the batch, and an acknowledged transaction is always on
-// disk. With no WAL or MaxBatch <= 1 the pipeline degenerates to the old
-// synchronous behavior (per-record fsync, immediate acknowledgement).
+// records of consecutive commits buffer, one write + one fsync makes the
+// whole batch durable, and only then do the deferred client
+// acknowledgements fire. That is classic group commit: the fsync — the
+// dominant hot-path cost — is amortized over the batch, and an acknowledged
+// transaction is always on disk. With no WAL or MaxBatch <= 1 the pipeline
+// degenerates to the old synchronous behavior (per-record fsync, immediate
+// acknowledgement).
+//
+// What closes a batch depends on whether the runtime has a second thread:
+//
+//   - With Config.Offload (internal/livenet) the write+fsync leaves the
+//     loop. A flush starts the moment a record is pending and none is in
+//     flight: the loop detaches the log's buffered batch and its
+//     acknowledgement list (a buffer swap) and hands the write+fsync to the
+//     runtime's syncer; the completion re-enters the loop, fires the
+//     acknowledgements and, if records arrived meanwhile, detaches the next
+//     batch at once. A batch is whatever arrived during the previous fsync —
+//     self-clocked group commit — so no commit waits out a timer and the
+//     loop never waits for the disk on the commit path.
+//   - Without it (the simulator, a bare pipeline) there is nobody to
+//     overlap with: the batch closes at MaxBatch records or after MaxDelay
+//     and is written inline, which is deterministic in virtual time.
 package commitpipe
 
 import (
@@ -33,6 +48,8 @@ import (
 )
 
 // Policy bounds a group-commit batch. The zero value disables grouping.
+// Under Config.Offload batches are self-clocked and only MaxBatch > 1
+// (grouping on) still matters; the bounds apply to the inline mode.
 type Policy struct {
 	// MaxBatch is the record count that forces a flush; <= 1 means every
 	// record syncs individually (no grouping).
@@ -58,6 +75,13 @@ type Config struct {
 	// SetTimer schedules the MaxDelay flush (env.Runtime.SetTimer). Nil
 	// disables the delay bound.
 	SetTimer func(time.Duration, func())
+	// Offload, when set, takes the grouped write+fsync off the event loop
+	// (livenet.Host.Offload): work runs on another goroutine, jobs in the
+	// order given and one at a time; done runs on the event loop after work
+	// returned, or never if the runtime closed first. A false return means
+	// the runtime is closing and took nothing. Nil keeps the flush inline.
+	// With Offload set, Now is also called from work's goroutine.
+	Offload func(work, done func()) bool
 	// Now supplies timestamps for the fsync-latency histogram: real elapsed
 	// time under internal/livenet, virtual time under internal/sim (where
 	// fsync latency is invisible by design — the simulator's clock does not
@@ -125,30 +149,66 @@ type Pipeline struct {
 	grouped bool
 	lsn     uint64 // per-site commit index for index-0 entries
 
+	// The open batch: records in the log's append buffer and the
+	// acknowledgements waiting for them.
 	pendingAcks []func(bool)
 	pendingRecs int
-	timerArmed  bool
+	timerArmed  bool // inline mode: the MaxDelay flush is scheduled
+
+	// The batch in flight under Config.Offload, at most one: detached from
+	// the log and with the syncer. The syncer reads inflightBatch and sends
+	// the outcome on synced (capacity 1), which is the "bytes are on disk"
+	// signal; whoever receives it on the loop completes the batch.
+	inflight      bool
+	inflightBatch storage.Batch
+	inflightAcks  []func(bool)
+	detachedAt    time.Duration
+	spareAcks     []func(bool) // the completed batch's list, reused
+	synced        chan syncResult
+	syncWork      func() // p.writeSync and p.onSynced, bound once so that a
+	syncDone      func() // flush allocates nothing
 
 	// BatchSizes observes records-per-fsync (dimensionless; see
 	// metrics.Histogram.ScalarSummary). FsyncLatency observes the wall time
-	// of each batch write+sync under a real runtime.
-	BatchSizes   *metrics.Histogram
-	FsyncLatency *metrics.Histogram
+	// of each batch write+sync as seen by whoever ran it, the syncer under
+	// Config.Offload. DurableLatency observes, under Config.Offload, detach
+	// → completion on the loop: the fsync plus the wait for the syncer
+	// before it and for the loop after.
+	BatchSizes     *metrics.Histogram
+	FsyncLatency   *metrics.Histogram
+	DurableLatency *metrics.Histogram
 	// Flushes counts batch fsyncs issued.
 	Flushes int64
 
-	batch []storage.BatchEntry // scratch reused across submissions
+	batch   []storage.BatchEntry // scratch reused across submissions
+	scratch []txnState           // per-txn state of the SubmitGroup calls on the stack
+}
+
+// txnState is what SubmitGroup remembers about one transaction between its
+// certification and its acknowledgement.
+type txnState struct {
+	certified bool
+	nrecs     int // batch records the txn contributed
+}
+
+// syncResult is the syncer's report on one batch.
+type syncResult struct {
+	err error
+	dur time.Duration // wall time of write+sync
 }
 
 // New creates a pipeline for one site, resuming the commit sequence from
 // the store's applied index (recovered state continues, not restarts).
 func New(cfg Config) *Pipeline {
 	p := &Pipeline{
-		cfg:          cfg,
-		lsn:          cfg.Store.Applied(),
-		BatchSizes:   metrics.NewHistogram(0),
-		FsyncLatency: metrics.NewHistogram(0),
+		cfg:            cfg,
+		lsn:            cfg.Store.Applied(),
+		BatchSizes:     metrics.NewHistogram(0),
+		FsyncLatency:   metrics.NewHistogram(0),
+		DurableLatency: metrics.NewHistogram(0),
+		synced:         make(chan syncResult, 1),
 	}
+	p.syncWork, p.syncDone = p.writeSync, p.onSynced
 	p.wal = cfg.Store.WAL()
 	p.grouped = p.wal != nil && cfg.Policy.Grouped()
 	if p.grouped {
@@ -159,7 +219,7 @@ func New(cfg Config) *Pipeline {
 
 // Submit runs one transaction through the pipeline.
 func (p *Pipeline) Submit(t Txn) {
-	p.SubmitGroup([]Txn{t})
+	p.SubmitGroup([]Txn{t}) // the slice does not escape: no allocation
 }
 
 // SubmitGroup runs a group of decided transactions through the pipeline
@@ -168,43 +228,56 @@ func (p *Pipeline) Submit(t Txn) {
 // Certified state), then every certified entry installs with a single
 // Store.ApplyBatch, then per-transaction bookkeeping and acknowledgements
 // follow.
+//
+// A callback may re-enter the pipeline with a new submission (an Ack that
+// commits the client's next transaction, an Applied that releases the lock
+// a waiting one needed), so the per-transaction state lives in a segment of
+// p.scratch that this call pushes and pops like a stack frame, and is
+// always reached through p.scratch: a nested call may have moved it.
 func (p *Pipeline) SubmitGroup(txns []Txn) {
-	certified := make([]bool, len(txns))
-	nrecs := make([]int, len(txns)) // batch records each txn contributed
+	base := len(p.scratch)
+	for range txns {
+		p.scratch = append(p.scratch, txnState{})
+	}
+	p.submitGroup(txns, base)
+	p.scratch = p.scratch[:base]
+}
+
+func (p *Pipeline) submitGroup(txns []Txn, base int) {
 	p.batch = p.batch[:0]
 	for i := range txns {
 		t := &txns[i]
 		if t.Certify != nil && !t.Certify() {
 			continue
 		}
-		certified[i] = true
 		if t.Certified != nil {
 			t.Certified()
 		}
-		nrecs[i] = p.enqueue(t)
+		p.scratch[base+i] = txnState{certified: true, nrecs: p.enqueue(t)}
 	}
 	recs := len(p.batch)
-	var applyErr error
+	rejected := false
 	if recs > 0 {
-		if applyErr = p.cfg.Store.ApplyBatch(p.batch); applyErr != nil {
-			p.logf("commitpipe: site %v apply batch: %v", p.cfg.Site, applyErr)
+		if err := p.cfg.Store.ApplyBatch(p.batch); err != nil {
+			p.logf("commitpipe: site %v apply batch: %v", p.cfg.Site, err)
 			// The group was rejected before any record reached the WAL
 			// buffer (ApplyBatch validates first): nothing new to fsync.
+			// Every txn that had installs in it lost them; its client must
+			// not hear commit.
+			rejected = true
 			recs = 0
 		}
 	}
-	// failed reports whether txn i's installs were lost to the rejected
-	// batch; its client must not hear commit.
-	failed := func(i int) bool { return applyErr != nil && nrecs[i] > 0 }
 	for i := range txns {
 		t := &txns[i]
-		if !certified[i] {
+		st := p.scratch[base+i]
+		if !st.certified {
 			if t.Ack != nil {
 				t.Ack(false)
 			}
 			continue
 		}
-		if !failed(i) {
+		if !(rejected && st.nrecs > 0) {
 			p.bookkeep(t)
 		}
 		// Applied runs even for a failed install: it releases locks and
@@ -218,34 +291,35 @@ func (p *Pipeline) SubmitGroup(txns []Txn) {
 	// WAL at all) they fire now.
 	if p.grouped {
 		p.pendingRecs += recs
-		for i := range txns {
-			t := &txns[i]
-			if !certified[i] || t.Ack == nil {
-				continue
-			}
-			switch {
-			case failed(i):
-				t.Ack(false)
-			case nrecs[i] == 0:
-				// Nothing of this txn awaits the fsync, and queueing it
-				// would not advance the batch toward MaxBatch — on a
-				// quiescent site the ack could wait forever.
-				t.Ack(true)
-			default:
-				p.pendingAcks = append(p.pendingAcks, t.Ack)
-			}
-		}
-		if p.pendingRecs >= p.cfg.Policy.MaxBatch {
-			p.flush()
-		} else if p.pendingRecs > 0 {
-			p.armTimer()
-		}
-		return
 	}
 	for i := range txns {
-		if certified[i] && txns[i].Ack != nil {
-			txns[i].Ack(!failed(i))
+		t := &txns[i]
+		st := p.scratch[base+i]
+		if !st.certified || t.Ack == nil {
+			continue
 		}
+		switch {
+		case rejected && st.nrecs > 0:
+			t.Ack(false)
+		case !p.grouped || st.nrecs == 0:
+			// Nothing of this txn awaits an fsync; queueing it would not
+			// advance the batch toward a flush, and on a quiescent site the
+			// ack could wait forever.
+			t.Ack(true)
+		default:
+			p.pendingAcks = append(p.pendingAcks, t.Ack)
+		}
+	}
+	switch {
+	case p.pendingRecs == 0:
+	case p.cfg.Offload != nil:
+		if !p.inflight {
+			p.detach()
+		}
+	case p.pendingRecs >= p.cfg.Policy.MaxBatch:
+		p.flush()
+	default:
+		p.armTimer()
 	}
 }
 
@@ -309,54 +383,147 @@ func (p *Pipeline) bookkeep(t *Txn) {
 	p.cfg.Tracer.Point(t.ID, trace.KindApply, seq, p.cfg.Site, int64(writes))
 }
 
-// Flush forces the pending batch to disk and releases its acknowledgements
-// (shutdown, tests). A no-op without group commit or with nothing pending.
+// Flush makes everything submitted so far durable and releases its
+// acknowledgements (shutdown, tests): the open batch is written, and under
+// Config.Offload a batch in flight is waited for first. A no-op without
+// group commit or with nothing pending.
 func (p *Pipeline) Flush() {
-	if p.grouped {
+	switch {
+	case !p.grouped:
+	case p.cfg.Offload == nil:
 		p.flush()
+	default:
+		p.drain()
 	}
 }
 
-// Pending returns the number of commit acknowledgements queued behind the
-// next fsync (tests).
-func (p *Pipeline) Pending() int { return len(p.pendingAcks) }
+// Pending returns the number of commit acknowledgements waiting for an
+// fsync, in the open batch or in flight (tests).
+func (p *Pipeline) Pending() int { return len(p.pendingAcks) + len(p.inflightAcks) }
 
 // Barrier flushes any buffered group commit and returns the pipeline's
 // current commit index. The checkpointer calls it before capturing store
 // state so the WAL on disk covers everything the capture reflects — a
 // checkpoint must never get ahead of the log it is about to truncate
-// behind.
+// behind. On return no batch is in flight, so the log's files are the
+// caller's until it lets the loop go.
 func (p *Pipeline) Barrier() uint64 {
 	p.Flush()
 	return p.lsn
 }
 
-// flush writes and syncs the batch, observes the batch metrics, then fires
-// the queued acknowledgements. The queue is snapshotted first: an
-// acknowledgement callback may re-enter the pipeline with a new submission.
+// flush is the inline mode's batch close: write and sync on the loop,
+// observe the batch metrics, then fire the queued acknowledgements.
 func (p *Pipeline) flush() {
 	p.timerArmed = false
 	if p.pendingRecs == 0 && len(p.pendingAcks) == 0 {
 		return
 	}
 	start := p.now()
-	n, err := p.wal.Flush()
-	if err != nil {
-		p.logf("commitpipe: site %v wal flush: %v", p.cfg.Site, err)
+	n, err := p.wal.Flush() //reprolint:allow nonblock inline mode: no Config.Offload means no second thread (simulator, bare pipeline), so the batch's write+fsync has nowhere else to run
+	p.finish(n, syncResult{err: err, dur: p.now() - start}, p.closeBatch())
+}
+
+// closeBatch takes the open batch's acknowledgement list, leaving an empty
+// open batch behind (on the recycled list of the last completed one).
+func (p *Pipeline) closeBatch() []func(bool) {
+	acks := p.pendingAcks
+	p.pendingAcks, p.spareAcks = p.spareAcks[:0], nil
+	p.pendingRecs = 0
+	return acks
+}
+
+// detach starts the off-loop flush of the open batch: the log's buffered
+// records and their acknowledgements become the batch in flight, and the
+// write+fsync goes to the runtime's syncer. O(1) on the loop, no copy, no
+// allocation. Call only with no batch in flight.
+func (p *Pipeline) detach() {
+	p.inflightBatch = p.wal.Detach()
+	p.inflightAcks = p.closeBatch()
+	p.inflight = true
+	p.detachedAt = p.now()
+	if !p.cfg.Offload(p.syncWork, p.syncDone) {
+		// The runtime is closing and will run nothing more: finish here.
+		p.writeSync() //reprolint:allow nonblock the runtime refused the job because it is shutting down; the batch is written on the spot so that a Flush during shutdown still makes it durable
+		p.onSynced()
+	}
+}
+
+// writeSync is the syncer's half of a flush: make the batch in flight
+// durable, then signal it. It runs off the loop and touches nothing of the
+// pipeline but inflightBatch (stable while the batch is in flight), the log's
+// writing side and the channel. The send never blocks: one batch in flight,
+// one slot.
+func (p *Pipeline) writeSync() {
+	start := p.now()
+	err := p.wal.WriteSync(p.inflightBatch)
+	p.synced <- syncResult{err: err, dur: p.now() - start}
+}
+
+// onSynced is the completion the runtime posts back onto the loop. The
+// signal may already have been taken by a drain that could not wait for
+// the post, in which case this is a no-op; or, after such a drain, the
+// signal found here belongs to a later batch whose own completion is still
+// on its way, and completing it now is just as right — a signal on synced
+// always means the batch in flight is on disk.
+func (p *Pipeline) onSynced() {
+	select {
+	case r := <-p.synced:
+		p.complete(r)
+	default:
+	}
+}
+
+// drain waits, on the loop, until nothing is pending and nothing is in
+// flight: it takes the syncer's signal itself instead of waiting for the
+// posted completion, which needs the loop this call is holding.
+func (p *Pipeline) drain() {
+	for p.inflight || p.pendingRecs > 0 {
+		if !p.inflight {
+			p.detach()
+			continue
+		}
+		r := <-p.synced //reprolint:allow nonblock Flush/Barrier must return with the log durable (checkpoint, shutdown); the wait is for the syncer, which never needs the loop, and is bounded by one fsync per batch
+		p.complete(r)
+	}
+}
+
+// complete retires the batch in flight on the loop: recycle its buffer,
+// start the next flush if records accumulated meanwhile (before the
+// acknowledgements, so the disk works while they run), then fire them.
+func (p *Pipeline) complete(r syncResult) {
+	n := p.inflightBatch.Records()
+	p.wal.Recycle(p.inflightBatch)
+	acks := p.inflightAcks
+	p.inflightAcks = nil
+	p.inflight = false
+	if r.err == nil {
+		p.DurableLatency.Observe(p.now() - p.detachedAt)
+	}
+	if p.pendingRecs > 0 {
+		p.detach()
+	}
+	p.finish(n, r, acks)
+}
+
+// finish observes one written batch and fires its acknowledgements. A
+// failed write means the batch never became durable; the guarantee is that
+// an acknowledged transaction is on disk, so the waiting clients hear
+// failure, not commit. An acknowledgement may re-enter the pipeline with a
+// new submission; acks is no longer reachable from p by then.
+func (p *Pipeline) finish(n int, r syncResult, acks []func(bool)) {
+	if r.err != nil {
+		p.logf("commitpipe: site %v wal flush: %v", p.cfg.Site, r.err)
 	} else if n > 0 {
-		p.FsyncLatency.Observe(p.now() - start)
+		p.FsyncLatency.Observe(r.dur)
 		p.BatchSizes.Observe(time.Duration(n))
 		p.Flushes++
 	}
-	p.pendingRecs = 0
-	acks := p.pendingAcks
-	p.pendingAcks = nil
-	// A failed flush means the batch never became durable; the guarantee is
-	// that an acknowledged transaction is on disk, so the waiting clients
-	// hear failure, not commit.
 	for _, ack := range acks {
-		ack(err == nil)
+		ack(r.err == nil)
 	}
+	clear(acks)
+	p.spareAcks = acks[:0]
 }
 
 // armTimer schedules the MaxDelay flush once per open batch.
@@ -387,8 +554,12 @@ func (p *Pipeline) logf(format string, args ...any) {
 
 // Summary renders the group-commit counters on one line (replicadb STATS).
 func (p *Pipeline) Summary() string {
-	return fmt.Sprintf("wal_flushes=%d batch[%s] fsync[%s]",
-		p.Flushes, p.BatchSizes.ScalarSummary(), p.FsyncLatency.Summary())
+	inflight := 0
+	if p.inflight {
+		inflight = 1
+	}
+	return fmt.Sprintf("wal_flushes=%d sync_inflight=%d batch[%s] fsync[%s] durable[%s]",
+		p.Flushes, inflight, p.BatchSizes.ScalarSummary(), p.FsyncLatency.Summary(), p.DurableLatency.Summary())
 }
 
 // dedupWrites collapses a write sequence so each key appears once with its

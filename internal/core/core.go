@@ -417,10 +417,19 @@ func newBase(rt env.Runtime, cfg Config, name string) *base {
 	return b
 }
 
+// offloader is the optional capability of a runtime with a second thread:
+// livenet.Host runs work on its syncer goroutine and done back on the event
+// loop. The simulator has none, so its pipelines flush inline and virtual
+// time stays deterministic.
+type offloader interface {
+	Offload(work, done func()) bool
+}
+
 // newPipeline builds a commit pipeline over st: the site's own, or one
-// replication group's under partial replication.
+// replication group's under partial replication. All of a site's pipelines
+// share the runtime's one syncer.
 func (b *base) newPipeline(st *storage.Store) *commitpipe.Pipeline {
-	return commitpipe.New(commitpipe.Config{
+	cfg := commitpipe.Config{
 		Site:     b.rt.ID(),
 		Store:    st,
 		Policy:   b.cfg.GroupCommit,
@@ -430,7 +439,11 @@ func (b *base) newPipeline(st *storage.Store) *commitpipe.Pipeline {
 		Tracer:   b.cfg.Tracer,
 		OnApply:  func(message.TxnID) { b.stats.Applied++ },
 		Logf:     b.rt.Logf,
-	})
+	}
+	if o, ok := b.rt.(offloader); ok {
+		cfg.Offload = o.Offload
+	}
+	return commitpipe.New(cfg)
 }
 
 // newCheckpointer wires a background checkpointer over st and its pipeline

@@ -12,9 +12,13 @@
 //   - SetTimer, CancelTimer, Rand, and all env.Node callbacks run on the
 //     event loop; they must not be called from arbitrary goroutines.
 //     External code reaches the loop through Do.
-//   - Send, Counters, PeerStats, Addr, ID, Peers, Now, Logf, and Close are
-//     safe from any goroutine once Start has returned. Send is also safe
-//     from the event loop itself (engines call it inside callbacks).
+//   - Send, Counters, PeerStats, Addr, ID, Peers, Now, Logf, Offload, and
+//     Close are safe from any goroutine once Start has returned. Send and
+//     Offload are also safe from the event loop itself (engines call them
+//     inside callbacks).
+//   - Work that waits for a disk leaves the loop through Offload: one
+//     syncer goroutine per host runs it, and a poster goroutine brings the
+//     completions back onto the loop (offload.go).
 //
 // Outgoing messages are queued per peer and written by one sender goroutine
 // per peer (see sender.go), which performs a peer handshake, redials with
@@ -95,6 +99,9 @@ type Host struct {
 	nextTimer env.TimerID
 	timers    map[env.TimerID]*time.Timer
 	closed    bool
+	posts     int64 // loop entries the poster made (each runs every ready completion)
+
+	off *offload // syncer and poster: off-loop work and its completions
 
 	ln      net.Listener
 	senders map[message.SiteID]*sender
@@ -146,6 +153,7 @@ func New(cfg Config) (*Host, error) {
 		timers:  make(map[env.TimerID]*time.Timer),
 		senders: make(map[message.SiteID]*sender),
 		stop:    make(chan struct{}),
+		off:     newOffload(),
 		conns:   make(map[net.Conn]struct{}),
 		stats:   make(map[message.SiteID]*peerCounters),
 	}
@@ -217,8 +225,10 @@ func (h *Host) Addr() string {
 	return h.ln.Addr().String()
 }
 
-// Close shuts the host down and waits for its goroutines. It is idempotent
-// and safe from any goroutine.
+// Close shuts the host down and waits for its goroutines, the syncer
+// included: every job Offload accepted has run when Close returns, so a
+// log written through it holds exactly the bytes that were synced. It is
+// idempotent and safe from any goroutine.
 func (h *Host) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -232,6 +242,7 @@ func (h *Host) Close() {
 	}
 	h.mu.Unlock()
 	close(h.stop)
+	h.off.close()
 	if h.ln != nil {
 		h.ln.Close()
 	}

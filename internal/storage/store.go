@@ -141,20 +141,8 @@ type BatchEntry struct {
 func (s *Store) ApplyBatch(entries []BatchEntry) error {
 	// Validate first: every entry's index must exceed each written key's
 	// newest version, counting versions earlier group entries will install.
-	tip := make(map[message.Key]uint64, len(entries))
-	for _, e := range entries {
-		for _, w := range e.Writes {
-			last, seen := tip[w.Key]
-			if !seen {
-				if vs := s.versions[w.Key]; len(vs) > 0 {
-					last, seen = vs[len(vs)-1].Index, true
-				}
-			}
-			if seen && last >= e.Index {
-				return fmt.Errorf("%w: key %q has version %d, batch apply at %d", ErrStaleIndex, w.Key, last, e.Index)
-			}
-			tip[w.Key] = e.Index
-		}
+	if err := s.validate(entries); err != nil {
+		return err
 	}
 	if s.wal != nil {
 		for _, e := range entries {
@@ -165,6 +153,53 @@ func (s *Store) ApplyBatch(entries []BatchEntry) error {
 	}
 	for _, e := range entries {
 		s.install(e.Txn, e.Writes, e.Index)
+	}
+	return nil
+}
+
+// smallWriteSet is the write count up to which a lone entry is checked for
+// a repeated key by pairwise comparison instead of through a map.
+const smallWriteSet = 8
+
+func staleErr(key message.Key, last, index uint64) error {
+	return fmt.Errorf("%w: key %q has version %d, batch apply at %d", ErrStaleIndex, key, last, index)
+}
+
+// validate checks a group against the version chains and against itself.
+func (s *Store) validate(entries []BatchEntry) error {
+	if len(entries) == 1 && len(entries[0].Writes) <= smallWriteSet {
+		return s.validateSmall(entries[0])
+	}
+	tip := make(map[message.Key]uint64, len(entries))
+	for _, e := range entries {
+		for _, w := range e.Writes {
+			last, seen := tip[w.Key]
+			if !seen {
+				if vs := s.versions[w.Key]; len(vs) > 0 {
+					last, seen = vs[len(vs)-1].Index, true
+				}
+			}
+			if seen && last >= e.Index {
+				return staleErr(w.Key, last, e.Index)
+			}
+			tip[w.Key] = e.Index
+		}
+	}
+	return nil
+}
+
+// validateSmall is validate for the commit path's common shape, one entry
+// with a handful of writes, without the per-call map.
+func (s *Store) validateSmall(e BatchEntry) error {
+	for i, w := range e.Writes {
+		if vs := s.versions[w.Key]; len(vs) > 0 && vs[len(vs)-1].Index >= e.Index {
+			return staleErr(w.Key, vs[len(vs)-1].Index, e.Index)
+		}
+		for _, prev := range e.Writes[:i] {
+			if prev.Key == w.Key {
+				return staleErr(w.Key, e.Index, e.Index)
+			}
+		}
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/message"
 )
@@ -41,6 +42,16 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // A WAL opened with OpenSegments additionally rotates across fixed-size
 // segment files; records (and, in grouped mode, whole batches) never split
 // across a segment boundary.
+//
+// A WAL does no locking. A grouped log may be driven from two goroutines
+// under a fixed split of its state: the appending side (the site's event
+// loop) owns the append buffer and its record count — Append, Detach,
+// Recycle, Pending — and the writing side (the site's syncer) owns the
+// writer, the segment state and rotation — WriteSync, one call at a time.
+// A Batch travels from the first to the second and back. Everything else
+// (Flush, Close, per-record Append) touches both halves and needs the log
+// quiescent: no batch detached and not yet recycled. AppendedBytes is safe
+// from any goroutine.
 type WAL struct {
 	w io.Writer
 	// Sync is called after each durable write when non-nil (e.g.
@@ -49,13 +60,24 @@ type WAL struct {
 	buf  []byte
 
 	grouped  bool
-	pending  []byte // encoded records buffered since the last Flush
+	pending  []byte // encoded records buffered since the last Detach
 	pendingN int
-	appended int64 // bytes written through write() over this WAL's lifetime
+	spare    []byte       // a recycled batch buffer, the append buffer after the next Detach
+	appended atomic.Int64 // bytes written through write() over this WAL's lifetime
 
 	seg    *segState // non-nil for segmented logs (OpenSegments)
 	closer io.Closer // non-nil when the WAL owns its file (RecoverFile)
 }
+
+// Batch is the run of encoded records one Detach took out of a grouped
+// log's append buffer. The zero Batch is empty.
+type Batch struct {
+	buf []byte
+	n   int
+}
+
+// Records returns how many records the batch holds.
+func (b Batch) Records() int { return b.n }
 
 // segState tracks the active segment of a directory-backed log.
 type segState struct {
@@ -79,7 +101,9 @@ func (l *WAL) SetGrouped(g bool) { l.grouped = g }
 func (l *WAL) Pending() int { return l.pendingN }
 
 // Append writes one record. In grouped mode the record is only buffered;
-// durability (and any write error) arrives at the next Flush.
+// durability (and any write error) arrives when its batch is written. The
+// encode goes straight into the destination buffer, so an append allocates
+// only when that buffer grows (TestAppendAllocs).
 func (l *WAL) Append(r Record) error {
 	if l.grouped {
 		l.pending = appendRecord(l.pending, r)
@@ -88,7 +112,7 @@ func (l *WAL) Append(r Record) error {
 	}
 	l.buf = l.buf[:0]
 	l.buf = appendRecord(l.buf, r)
-	if err := l.write(l.buf); err != nil {
+	if err := l.write(l.buf); err != nil { //reprolint:allow nonblock per-record mode is durability on the calling thread by definition: the record is on disk when Append returns; callers that must not wait use grouped mode
 		return err
 	}
 	return l.sync()
@@ -101,14 +125,42 @@ func (l *WAL) Flush() (int, error) {
 	if l.pendingN == 0 {
 		return 0, nil
 	}
-	n := l.pendingN
-	err := l.write(l.pending)
-	l.pending = l.pending[:0]
+	b := l.Detach()
+	err := l.WriteSync(b)
+	l.Recycle(b)
+	return b.n, err
+}
+
+// Detach takes the buffered records out of the log as one batch, leaving
+// the append buffer empty: a buffer swap, no copy. The batch is neither
+// written nor durable until WriteSync; hand it back with Recycle afterwards
+// so its buffer serves a later batch and steady-state flushing allocates
+// nothing. Appending side.
+func (l *WAL) Detach() Batch {
+	b := Batch{buf: l.pending, n: l.pendingN}
+	l.pending, l.spare = l.spare[:0], nil
 	l.pendingN = 0
-	if err != nil {
-		return n, err
+	return b
+}
+
+// WriteSync makes a detached batch durable: one write, rotating the
+// segment first if the batch would overflow it, then one sync. Batches must
+// be written in the order they were detached, one at a time. Writing side.
+func (l *WAL) WriteSync(b Batch) error {
+	if b.n == 0 {
+		return nil
 	}
-	return n, l.sync()
+	if err := l.write(b.buf); err != nil {
+		return err
+	}
+	return l.sync()
+}
+
+// Recycle returns a written batch's buffer to the log. Appending side.
+func (l *WAL) Recycle(b Batch) {
+	if l.spare == nil {
+		l.spare = b.buf[:0]
+	}
 }
 
 // Close flushes buffered records and closes the backing file when the WAL
@@ -144,7 +196,7 @@ func (l *WAL) write(b []byte) error {
 		}
 		l.seg.size += int64(len(b))
 	}
-	l.appended += int64(len(b))
+	l.appended.Add(int64(len(b)))
 	_, err := l.w.Write(b)
 	return err
 }
@@ -152,7 +204,7 @@ func (l *WAL) write(b []byte) error {
 // AppendedBytes returns the total bytes written to the log since this WAL
 // was opened (buffered-but-unflushed records excluded). The checkpointer
 // uses the delta since its last run as a bytes-since-checkpoint trigger.
-func (l *WAL) AppendedBytes() int64 { return l.appended }
+func (l *WAL) AppendedBytes() int64 { return l.appended.Load() }
 
 func (l *WAL) sync() error {
 	if l.Sync != nil {
@@ -408,27 +460,37 @@ func truncateTail(path string, off int64) error {
 	return err
 }
 
-func appendRecord(b []byte, r Record) []byte {
-	body := appendBody(nil, r)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-	b = append(b, hdr[:]...)
-	return append(b, body...)
-}
+// recordHeader is the framing before each record body: the body's length,
+// then its CRC32, both little-endian uint32.
+const recordHeader = 8
 
-func appendBody(b []byte, r Record) []byte {
-	b = binary.LittleEndian.AppendUint64(b, r.Index)
-	b = binary.LittleEndian.AppendUint32(b, uint32(r.Txn.Site))
-	b = binary.LittleEndian.AppendUint64(b, r.Txn.Seq)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Writes)))
+// recordEncoder appends to b (a struct field, so the growth of the
+// destination buffer is the one sanctioned allocation of the append path).
+type recordEncoder struct{ b []byte }
+
+// appendRecord appends r's framed encoding to b: the header's room is
+// reserved first, the body is encoded in place behind it, and length and
+// checksum are patched in once the body is complete.
+//
+// reprolint:noalloc
+func appendRecord(b []byte, r Record) []byte {
+	e := recordEncoder{b: b}
+	hdr := len(e.b)
+	e.b = append(e.b, 0, 0, 0, 0, 0, 0, 0, 0) // recordHeader bytes, patched below
+	e.b = binary.LittleEndian.AppendUint64(e.b, r.Index)
+	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(r.Txn.Site))
+	e.b = binary.LittleEndian.AppendUint64(e.b, r.Txn.Seq)
+	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(len(r.Writes)))
 	for _, w := range r.Writes {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(w.Key)))
-		b = append(b, w.Key...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(w.Value)))
-		b = append(b, w.Value...)
+		e.b = binary.LittleEndian.AppendUint32(e.b, uint32(len(w.Key)))
+		e.b = append(e.b, w.Key...)
+		e.b = binary.LittleEndian.AppendUint32(e.b, uint32(len(w.Value)))
+		e.b = append(e.b, w.Value...)
 	}
-	return b
+	body := e.b[hdr+recordHeader:]
+	binary.LittleEndian.PutUint32(e.b[hdr:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(e.b[hdr+4:], crc32.ChecksumIEEE(body))
+	return e.b
 }
 
 func decodeBody(b []byte) (Record, error) {
