@@ -71,8 +71,6 @@ func run() error {
 		proto      = flag.String("proto", "causal", "replication protocol: reliable|causal|atomic|baseline|quorum")
 		client     = flag.String("client", "", "client listen address (host:port)")
 		walPath    = flag.String("wal", "", "write-ahead log: a directory for a segmented log, or a single file (optional)")
-		walBatch   = flag.Int("wal-batch", 64, "> 1 turns group commit on (fsyncs leave the event loop; a batch is whatever committed during the previous fsync, not this many records); <= 1 syncs every record on the loop")
-		walFlush   = flag.Duration("wal-flush", 2*time.Millisecond, "group-commit delay bound of pipelines without a syncer thread (the simulator); a live site never waits it out")
 		walSegMB   = flag.Int64("wal-seg-bytes", storage.DefaultSegmentBytes, "segment rotation threshold in bytes (directory logs)")
 		ckptIval   = flag.Duration("checkpoint-interval", 0, "periodic checkpoint interval (0 disables the timer trigger; requires a directory -wal)")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "checkpoint once this many bytes were appended to the WAL since the last one (0 disables the bytes trigger)")
@@ -143,6 +141,9 @@ func run() error {
 	} else if *rf > 0 {
 		return fmt.Errorf("-rf needs -shards > 1")
 	}
+	// Group commit is on wherever there is a log (a pipeline without one
+	// ignores the policy); > 1 means on, the magnitude is unread.
+	ecfg.GroupCommit = commitpipe.Policy{MaxBatch: 2}
 	ckptEnabled := *ckptIval > 0 || *ckptBytes > 0
 	var wal *storage.WAL
 	var groupWALs map[message.GroupID]*storage.WAL
@@ -196,7 +197,6 @@ func run() error {
 		if ckptEnabled {
 			ecfg.GroupCheckpoint = func(g message.GroupID) checkpoint.Policy { return pols[g] }
 		}
-		ecfg.GroupCommit = commitpipe.Policy{MaxBatch: *walBatch, MaxDelay: *walFlush}
 	} else if *walPath != "" {
 		var st *storage.Store
 		if fi, serr := os.Stat(*walPath); serr == nil && !fi.IsDir() {
@@ -248,7 +248,6 @@ func run() error {
 		}
 		ecfg.WAL = wal
 		ecfg.InitialStore = st
-		ecfg.GroupCommit = commitpipe.Policy{MaxBatch: *walBatch, MaxDelay: *walFlush}
 	} else if ckptEnabled {
 		return fmt.Errorf("checkpointing requires -wal")
 	}

@@ -229,7 +229,7 @@ func newShardedReplicas(t *testing.T) ([]*replica, *shard.Ring) {
 			GroupInitialStore: func(g message.GroupID) *storage.Store { return stores[g] },
 			GroupInitialStack: func(g message.GroupID) *message.StackSync { return stacks[g] },
 			GroupCheckpoint:   func(g message.GroupID) checkpoint.Policy { return pols[g] },
-			GroupCommit:       commitpipe.Policy{MaxBatch: 8, MaxDelay: time.Millisecond},
+			GroupCommit:       commitpipe.Policy{MaxBatch: 2},
 		})
 		if err != nil {
 			t.Fatal(err)

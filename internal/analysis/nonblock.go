@@ -36,9 +36,8 @@ import (
 // function value, which is a hand-off, not a call), so the commit hot path
 // exports no blocking fact for the plain reason that it does not block.
 // The loop-side waits that remain carry reasoned reprolint:allow comments
-// at the statement: Pipeline.drain (Flush/Barrier must return with the log
-// durable), the inline flush of a pipeline without a second thread (the
-// simulator), the refused-offload fallback during shutdown, and the
+// at the statement: Pipeline.Flush (it and Barrier must return with the log
+// durable), the refused-offload fallback during shutdown, and the
 // per-record WAL.Append of ungrouped mode.
 var NonBlock = &Analyzer{
 	Name: "nonblock",

@@ -44,8 +44,9 @@ func TestNonBlockImportedFacts(t *testing.T) {
 // TestNonBlockCommitPipeline: the group-commit layer has no package-wide
 // exemption. Its hot path exports no blocks fact because it hands the fsync
 // to another goroutine, the syncer's half does export one, the justified
-// loop-side waits (Barrier's drain, the inline mode) keep their functions'
-// summaries clean, and an unjustified wait on the loop is reported.
+// loop-side waits (Barrier's drain, the write a closing runtime refused)
+// keep their functions' summaries clean, and an unjustified wait on the loop
+// is reported.
 func TestNonBlockCommitPipeline(t *testing.T) {
 	pass := testAnalyzer(t, NonBlock, "nonblock_commitpipe", "commitpipe", nil)
 	blocks := make(map[string]bool)
@@ -60,7 +61,6 @@ func TestNonBlockCommitPipeline(t *testing.T) {
 		"commitpipe.Pipeline.Submit":      false,
 		"commitpipe.Pipeline.onSynced":    false,
 		"commitpipe.Pipeline.Barrier":     false,
-		"commitpipe.Pipeline.FlushInline": false,
 	} {
 		if blocks[fn] != want {
 			t.Errorf("blocks fact for %s = %v, want %v", fn, blocks[fn], want)

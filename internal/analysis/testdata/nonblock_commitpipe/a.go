@@ -14,9 +14,13 @@ type Pipeline struct {
 }
 
 // Submit is the hot path: it hands the write+fsync to another goroutine as
-// a method value, which is not a call — nothing here blocks, so no fact.
+// a method value, which is not a call — nothing here blocks, so no fact. A
+// runtime that is closing refuses the job; writing on the spot then is
+// justified at the call.
 func (p *Pipeline) Submit() {
-	p.offload(p.writeSync, p.onSynced)
+	if !p.offload(p.writeSync, p.onSynced) {
+		p.writeSync() //reprolint:allow nonblock fixture: the runtime is shutting down and took nothing
+	}
 }
 
 // writeSync is the syncer's half. It blocks, and says so to dependents.
@@ -36,12 +40,6 @@ func (p *Pipeline) onSynced() {
 // not poison its summary.
 func (p *Pipeline) Barrier() {
 	<-p.synced //reprolint:allow nonblock fixture: the caller needs the log durable before it returns
-}
-
-// FlushInline writes on the calling thread when there is no other, again
-// justified at the call.
-func (p *Pipeline) FlushInline() {
-	p.writeSync() //reprolint:allow nonblock fixture: no second thread in this mode
 }
 
 // Unjustified is what the old package-wide exemption used to hide.

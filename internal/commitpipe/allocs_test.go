@@ -44,8 +44,7 @@ func (o *handOffloader) Offload(work, done func()) bool {
 	return true
 }
 
-// TestSubmitAllocs pins the whole grouped Submit path, in both flush
-// modes: certification bookkeeping, staging, the store install, the WAL
+// TestSubmitAllocs pins the whole grouped Submit path: certification bookkeeping, staging, the store install, the WAL
 // append, queueing the acknowledgement, and the flush itself — detach,
 // write+sync, completion, acknowledgements — add no allocation to what the
 // store's own install costs. The reference is a twin store driven through
@@ -73,14 +72,6 @@ func TestSubmitAllocs(t *testing.T) {
 
 	acks := 0
 	one := Txn{ID: txn(1, 1), Entries: []Entry{{Writes: writes}}, Ack: func(bool) { acks++ }}
-
-	inline := New(Config{Store: storage.New(storage.NewWAL(discard{})), Policy: Policy{MaxBatch: perFlush}})
-	if got := testing.AllocsPerRun(runs, func() {
-		one.Entries[0].Index = 0 // a fresh commit index each run
-		inline.Submit(one)
-	}); got != want {
-		t.Fatalf("inline grouped Submit = %v allocs/op, the store's install alone = %v", got, want)
-	}
 
 	off := &handOffloader{}
 	offloaded := New(Config{Store: storage.New(storage.NewWAL(discard{})), Policy: Policy{MaxBatch: perFlush}, Offload: off.Offload})

@@ -11,29 +11,24 @@
 // The pipeline runs on the site's event loop and does no locking of its
 // own. Installs into the versioned store are synchronous — local reads must
 // observe a committed transaction as soon as its protocol decides it — but
-// durability is batched: with a grouped WAL (Policy.MaxBatch > 1) the log
-// records of consecutive commits buffer, one write + one fsync makes the
-// whole batch durable, and only then do the deferred client
-// acknowledgements fire. That is classic group commit: the fsync — the
+// durability is batched: under group commit the log records of consecutive
+// commits buffer, one write + one fsync makes the whole batch durable, and
+// only then do the deferred client acknowledgements fire. The fsync — the
 // dominant hot-path cost — is amortized over the batch, and an acknowledged
-// transaction is always on disk. With no WAL or MaxBatch <= 1 the pipeline
-// degenerates to the old synchronous behavior (per-record fsync, immediate
-// acknowledgement).
+// transaction is always on disk.
 //
-// What closes a batch depends on whether the runtime has a second thread:
-//
-//   - With Config.Offload (internal/livenet) the write+fsync leaves the
-//     loop. A flush starts the moment a record is pending and none is in
-//     flight: the loop detaches the log's buffered batch and its
-//     acknowledgement list (a buffer swap) and hands the write+fsync to the
-//     runtime's syncer; the completion re-enters the loop, fires the
-//     acknowledgements and, if records arrived meanwhile, detaches the next
-//     batch at once. A batch is whatever arrived during the previous fsync —
-//     self-clocked group commit — so no commit waits out a timer and the
-//     loop never waits for the disk on the commit path.
-//   - Without it (the simulator, a bare pipeline) there is nobody to
-//     overlap with: the batch closes at MaxBatch records or after MaxDelay
-//     and is written inline, which is deterministic in virtual time.
+// Group commit needs a WAL, a Policy that asks for it and a runtime that
+// offers Config.Offload (internal/livenet's syncer goroutine, internal/sim's
+// virtual disk). The write+fsync then leaves the loop: a flush starts the
+// moment a record is pending and none is in flight — the loop detaches the
+// log's buffered batch and its acknowledgement list (a buffer swap) and
+// hands the write+fsync to the runtime; the completion re-enters the loop,
+// fires the acknowledgements and, if records arrived meanwhile, detaches
+// the next batch at once. A batch is whatever arrived during the previous
+// fsync — self-clocked group commit — so no commit waits out a timer and
+// the loop never waits for the disk on the commit path. Without any of the
+// three (a bare pipeline included) every record syncs on its own and is
+// acknowledged at once.
 package commitpipe
 
 import (
@@ -47,16 +42,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Policy bounds a group-commit batch. The zero value disables grouping.
-// Under Config.Offload batches are self-clocked and only MaxBatch > 1
-// (grouping on) still matters; the bounds apply to the inline mode.
+// Policy turns group commit on. The zero value disables it. Batches are
+// self-clocked, so there is nothing to bound: the struct keeps the shape of
+// the count and delay bounds it once carried because bench/ builds it
+// literally.
 type Policy struct {
-	// MaxBatch is the record count that forces a flush; <= 1 means every
-	// record syncs individually (no grouping).
+	// MaxBatch > 1 turns group commit on; the magnitude means nothing.
+	// <= 1 means every record syncs individually.
 	MaxBatch int
-	// MaxDelay bounds how long a committed transaction's acknowledgement
-	// may wait for its batch's fsync. Zero with grouping enabled means
-	// flushes happen only on MaxBatch or explicit Flush calls.
+	// MaxDelay is unread.
 	MaxDelay time.Duration
 }
 
@@ -72,15 +66,13 @@ type Config struct {
 	Store *storage.Store
 	// Policy configures group commit.
 	Policy Policy
-	// SetTimer schedules the MaxDelay flush (env.Runtime.SetTimer). Nil
-	// disables the delay bound.
-	SetTimer func(time.Duration, func())
-	// Offload, when set, takes the grouped write+fsync off the event loop
-	// (livenet.Host.Offload): work runs on another goroutine, jobs in the
-	// order given and one at a time; done runs on the event loop after work
-	// returned, or never if the runtime closed first. A false return means
-	// the runtime is closing and took nothing. Nil keeps the flush inline.
-	// With Offload set, Now is also called from work's goroutine.
+	// Offload takes the grouped write+fsync off the event loop
+	// (livenet.Host.Offload, the simulator's virtual disk): work may run on
+	// another goroutine, jobs in the order given and one at a time; done
+	// runs on the event loop after work returned, or never if the runtime
+	// closed or the site crashed first. A false return means the runtime is
+	// closing and took nothing. Nil means no group commit. With Offload
+	// set, Now is also called from work's goroutine.
 	Offload func(work, done func()) bool
 	// Now supplies timestamps for the fsync-latency histogram: real elapsed
 	// time under internal/livenet, virtual time under internal/sim (where
@@ -153,9 +145,8 @@ type Pipeline struct {
 	// acknowledgements waiting for them.
 	pendingAcks []func(bool)
 	pendingRecs int
-	timerArmed  bool // inline mode: the MaxDelay flush is scheduled
 
-	// The batch in flight under Config.Offload, at most one: detached from
+	// The batch in flight, at most one: detached from
 	// the log and with the syncer. The syncer reads inflightBatch and sends
 	// the outcome on synced (capacity 1), which is the "bytes are on disk"
 	// signal; whoever receives it on the loop completes the batch.
@@ -170,10 +161,9 @@ type Pipeline struct {
 
 	// BatchSizes observes records-per-fsync (dimensionless; see
 	// metrics.Histogram.ScalarSummary). FsyncLatency observes the wall time
-	// of each batch write+sync as seen by whoever ran it, the syncer under
-	// Config.Offload. DurableLatency observes, under Config.Offload, detach
-	// → completion on the loop: the fsync plus the wait for the syncer
-	// before it and for the loop after.
+	// of each batch write+sync as seen by whoever ran it. DurableLatency
+	// observes detach → completion on the loop: the fsync plus the wait for
+	// the syncer before it and for the loop after.
 	BatchSizes     *metrics.Histogram
 	FsyncLatency   *metrics.Histogram
 	DurableLatency *metrics.Histogram
@@ -210,7 +200,7 @@ func New(cfg Config) *Pipeline {
 	}
 	p.syncWork, p.syncDone = p.writeSync, p.onSynced
 	p.wal = cfg.Store.WAL()
-	p.grouped = p.wal != nil && cfg.Policy.Grouped()
+	p.grouped = p.wal != nil && cfg.Policy.Grouped() && cfg.Offload != nil
 	if p.grouped {
 		p.wal.SetGrouped(true)
 	}
@@ -310,16 +300,8 @@ func (p *Pipeline) submitGroup(txns []Txn, base int) {
 			p.pendingAcks = append(p.pendingAcks, t.Ack)
 		}
 	}
-	switch {
-	case p.pendingRecs == 0:
-	case p.cfg.Offload != nil:
-		if !p.inflight {
-			p.detach()
-		}
-	case p.pendingRecs >= p.cfg.Policy.MaxBatch:
-		p.flush()
-	default:
-		p.armTimer()
+	if p.pendingRecs > 0 && !p.inflight {
+		p.detach()
 	}
 }
 
@@ -384,16 +366,18 @@ func (p *Pipeline) bookkeep(t *Txn) {
 }
 
 // Flush makes everything submitted so far durable and releases its
-// acknowledgements (shutdown, tests): the open batch is written, and under
-// Config.Offload a batch in flight is waited for first. A no-op without
-// group commit or with nothing pending.
+// acknowledgements (shutdown, tests). It waits, on the loop, until nothing
+// is pending and nothing is in flight, taking the syncer's signal itself
+// instead of waiting for the posted completion, which needs the loop this
+// call is holding. A no-op without group commit or with nothing pending.
 func (p *Pipeline) Flush() {
-	switch {
-	case !p.grouped:
-	case p.cfg.Offload == nil:
-		p.flush()
-	default:
-		p.drain()
+	for p.inflight || p.pendingRecs > 0 {
+		if !p.inflight {
+			p.detach()
+			continue
+		}
+		r := <-p.synced //reprolint:allow nonblock Flush/Barrier must return with the log durable (checkpoint, shutdown); the wait is for the syncer, which never needs the loop, and is bounded by one fsync per batch
+		p.complete(r)
 	}
 }
 
@@ -410,18 +394,6 @@ func (p *Pipeline) Pending() int { return len(p.pendingAcks) + len(p.inflightAck
 func (p *Pipeline) Barrier() uint64 {
 	p.Flush()
 	return p.lsn
-}
-
-// flush is the inline mode's batch close: write and sync on the loop,
-// observe the batch metrics, then fire the queued acknowledgements.
-func (p *Pipeline) flush() {
-	p.timerArmed = false
-	if p.pendingRecs == 0 && len(p.pendingAcks) == 0 {
-		return
-	}
-	start := p.now()
-	n, err := p.wal.Flush() //reprolint:allow nonblock inline mode: no Config.Offload means no second thread (simulator, bare pipeline), so the batch's write+fsync has nowhere else to run
-	p.finish(n, syncResult{err: err, dur: p.now() - start}, p.closeBatch())
 }
 
 // closeBatch takes the open batch's acknowledgement list, leaving an empty
@@ -461,8 +433,8 @@ func (p *Pipeline) writeSync() {
 }
 
 // onSynced is the completion the runtime posts back onto the loop. The
-// signal may already have been taken by a drain that could not wait for
-// the post, in which case this is a no-op; or, after such a drain, the
+// signal may already have been taken by a Flush that could not wait for
+// the post, in which case this is a no-op; or, after such a Flush, the
 // signal found here belongs to a later batch whose own completion is still
 // on its way, and completing it now is just as right — a signal on synced
 // always means the batch in flight is on disk.
@@ -471,20 +443,6 @@ func (p *Pipeline) onSynced() {
 	case r := <-p.synced:
 		p.complete(r)
 	default:
-	}
-}
-
-// drain waits, on the loop, until nothing is pending and nothing is in
-// flight: it takes the syncer's signal itself instead of waiting for the
-// posted completion, which needs the loop this call is holding.
-func (p *Pipeline) drain() {
-	for p.inflight || p.pendingRecs > 0 {
-		if !p.inflight {
-			p.detach()
-			continue
-		}
-		r := <-p.synced //reprolint:allow nonblock Flush/Barrier must return with the log durable (checkpoint, shutdown); the wait is for the syncer, which never needs the loop, and is bounded by one fsync per batch
-		p.complete(r)
 	}
 }
 
@@ -524,19 +482,6 @@ func (p *Pipeline) finish(n int, r syncResult, acks []func(bool)) {
 	}
 	clear(acks)
 	p.spareAcks = acks[:0]
-}
-
-// armTimer schedules the MaxDelay flush once per open batch.
-func (p *Pipeline) armTimer() {
-	if p.timerArmed || p.cfg.SetTimer == nil || p.cfg.Policy.MaxDelay <= 0 {
-		return
-	}
-	p.timerArmed = true
-	p.cfg.SetTimer(p.cfg.Policy.MaxDelay, func() {
-		if p.timerArmed {
-			p.flush()
-		}
-	})
 }
 
 func (p *Pipeline) now() time.Duration {

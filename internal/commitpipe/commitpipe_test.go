@@ -3,8 +3,8 @@ package commitpipe
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/message"
 	"repro/internal/storage"
@@ -16,36 +16,6 @@ func txn(site, seq int) message.TxnID {
 
 func kv(k, v string) message.KV {
 	return message.KV{Key: message.Key(k), Value: message.Value(v)}
-}
-
-// fakeClock drives SetTimer/Now deterministically: timers fire when the
-// test advances past their deadline.
-type fakeClock struct {
-	now    time.Duration
-	timers []struct {
-		at time.Duration
-		fn func()
-	}
-}
-
-func (c *fakeClock) SetTimer(d time.Duration, fn func()) {
-	c.timers = append(c.timers, struct {
-		at time.Duration
-		fn func()
-	}{c.now + d, fn})
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.now += d
-	due := c.timers
-	c.timers = nil
-	for _, t := range due {
-		if t.at <= c.now {
-			t.fn()
-		} else {
-			c.timers = append(c.timers, t)
-		}
-	}
 }
 
 func syncPipe(t *testing.T, wal *storage.WAL) (*Pipeline, *storage.Store) {
@@ -104,15 +74,9 @@ func TestResumesLsnFromRecoveredStore(t *testing.T) {
 }
 
 func TestCertifyFailureAcksAbortImmediately(t *testing.T) {
-	var buf bytes.Buffer
-	wal := storage.NewWAL(&buf)
-	st := storage.New(wal)
-	clock := &fakeClock{}
-	p := New(Config{
-		Site: 0, Store: st,
-		Policy:   Policy{MaxBatch: 8, MaxDelay: time.Millisecond},
-		SetTimer: clock.SetTimer,
-	})
+	off := &stepOffloader{}
+	p, _ := offloadPipe(off)
+	st := p.cfg.Store
 	var aborted, committed bool
 	certified := false
 	p.SubmitGroup([]Txn{
@@ -145,120 +109,42 @@ func TestCertifyFailureAcksAbortImmediately(t *testing.T) {
 	if _, ok := st.Get("y"); !ok {
 		t.Fatal("certified install missing (installs are synchronous)")
 	}
-	clock.advance(time.Millisecond)
+	off.runWork()
+	off.post()
 	if !committed {
-		t.Fatal("MaxDelay flush did not release the ack")
-	}
-}
-
-func TestGroupCommitFlushesAtMaxBatch(t *testing.T) {
-	var buf bytes.Buffer
-	syncs := 0
-	wal := storage.NewWAL(&buf)
-	wal.Sync = func() error { syncs++; return nil }
-	st := storage.New(wal)
-	p := New(Config{Site: 0, Store: st, Policy: Policy{MaxBatch: 3}})
-
-	acks := 0
-	for i := 1; i <= 2; i++ {
-		p.Submit(Txn{
-			ID:      txn(0, i),
-			Entries: []Entry{{Writes: []message.KV{kv("k", "v")}}},
-			Ack:     func(bool) { acks++ },
-		})
-	}
-	if acks != 0 || syncs != 0 {
-		t.Fatalf("acks=%d syncs=%d before MaxBatch", acks, syncs)
-	}
-	if p.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", p.Pending())
-	}
-	p.Submit(Txn{
-		ID:      txn(0, 3),
-		Entries: []Entry{{Writes: []message.KV{kv("k", "v3")}}},
-		Ack:     func(bool) { acks++ },
-	})
-	if acks != 3 {
-		t.Fatalf("acks = %d after MaxBatch reached, want 3", acks)
-	}
-	if syncs != 1 {
-		t.Fatalf("syncs = %d, want 1 (one fsync for the whole batch)", syncs)
-	}
-	if p.Flushes != 1 {
-		t.Fatalf("Flushes = %d", p.Flushes)
-	}
-	// Installs never waited: the third submit's version is visible.
-	if rec, _ := st.Get("k"); string(rec.Value) != "v3" {
-		t.Fatalf("k = %q", rec.Value)
-	}
-}
-
-func TestGroupCommitMaxDelayTimer(t *testing.T) {
-	var buf bytes.Buffer
-	wal := storage.NewWAL(&buf)
-	st := storage.New(wal)
-	clock := &fakeClock{}
-	p := New(Config{
-		Site: 0, Store: st,
-		Policy:   Policy{MaxBatch: 100, MaxDelay: 2 * time.Millisecond},
-		SetTimer: clock.SetTimer,
-		Now:      func() time.Duration { return clock.now },
-	})
-	acked := false
-	p.Submit(Txn{
-		ID:      txn(0, 1),
-		Entries: []Entry{{Writes: []message.KV{kv("x", "a")}}},
-		Ack:     func(bool) { acked = true },
-	})
-	clock.advance(time.Millisecond)
-	if acked {
-		t.Fatal("acked before MaxDelay")
-	}
-	clock.advance(time.Millisecond)
-	if !acked {
-		t.Fatal("MaxDelay elapsed without a flush")
-	}
-	if got := wal.Pending(); got != 0 {
-		t.Fatalf("wal pending = %d after flush", got)
+		t.Fatal("the batch's completion did not release the ack")
 	}
 }
 
 func TestExplicitFlushReleasesAcks(t *testing.T) {
-	var buf bytes.Buffer
-	wal := storage.NewWAL(&buf)
-	st := storage.New(wal)
-	p := New(Config{Site: 0, Store: st, Policy: Policy{MaxBatch: 100}})
-	acked := false
-	p.Submit(Txn{
-		ID:      txn(0, 1),
-		Entries: []Entry{{Writes: []message.KV{kv("x", "a")}}},
-		Ack:     func(bool) { acked = true },
-	})
-	if acked {
-		t.Fatal("acked before flush")
-	}
+	off := &stepOffloader{auto: true}
+	p, d := offloadPipe(off)
+	a1 := submit(p, 1) // in flight
+	a2 := submit(p, 2) // open batch, behind it
 	p.Flush()
-	if !acked {
-		t.Fatal("Flush did not release the ack")
+	if *a1 != 1 || *a2 != 1 {
+		t.Fatalf("Flush did not release the acks: %d %d", *a1, *a2)
 	}
-	if p.Pending() != 0 {
-		t.Fatalf("Pending = %d after Flush", p.Pending())
+	if p.Pending() != 0 || d.syncs != 2 {
+		t.Fatalf("after Flush: Pending = %d, syncs = %d, want 0 and 2", p.Pending(), d.syncs)
 	}
+	off.wg.Wait()
 }
 
+// TestAckReentrancy: the first of two acknowledgements of one batch
+// re-enters the pipeline, as a client callback submitting its next
+// transaction would. The second still fires, in order, and the re-entrant
+// record is acknowledged by a later batch, not by the one completing.
 func TestAckReentrancy(t *testing.T) {
-	var buf bytes.Buffer
-	wal := storage.NewWAL(&buf)
-	st := storage.New(wal)
-	p := New(Config{Site: 0, Store: st, Policy: Policy{MaxBatch: 2}})
+	off := &stepOffloader{}
+	p, _ := offloadPipe(off)
 	order := []string{}
+	submit(p, 9) // in flight, so that the next two share the open batch
 	p.Submit(Txn{
 		ID:      txn(0, 1),
 		Entries: []Entry{{Writes: []message.KV{kv("a", "1")}}},
 		Ack: func(bool) {
 			order = append(order, "ack1")
-			// Re-enter the pipeline from inside an acknowledgement, as a
-			// client callback submitting its next transaction would.
 			p.Submit(Txn{
 				ID:      txn(0, 3),
 				Entries: []Entry{{Writes: []message.KV{kv("c", "3")}}},
@@ -271,15 +157,18 @@ func TestAckReentrancy(t *testing.T) {
 		Entries: []Entry{{Writes: []message.KV{kv("b", "2")}}},
 		Ack:     func(bool) { order = append(order, "ack2") },
 	})
-	// Batch of 2 flushed, acks fired; the re-entrant submission opened a
-	// fresh batch of one.
+	off.runWork()
+	off.post() // batch {9} done, batch {1, 2} detached
+	off.runWork()
+	off.post() // batch {1, 2} done: both acks, and the re-entrant submission
 	if len(order) != 2 || order[0] != "ack1" || order[1] != "ack2" {
 		t.Fatalf("order = %v", order)
 	}
 	if p.Pending() != 1 {
 		t.Fatalf("Pending = %d, want the re-entrant txn queued", p.Pending())
 	}
-	p.Flush()
+	off.runWork()
+	off.post()
 	if len(order) != 3 || order[2] != "ack3" {
 		t.Fatalf("order = %v", order)
 	}
@@ -327,20 +216,18 @@ func TestApplyBatchFailureAcksAbort(t *testing.T) {
 			name = "grouped"
 		}
 		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			wal := storage.NewWAL(&buf)
-			st := storage.New(wal)
+			off := &stepOffloader{}
+			p, _ := offloadPipe(off)
+			if !grouped {
+				p, _ = syncPipe(t, storage.NewWAL(&bytes.Buffer{}))
+			}
+			st := p.cfg.Store
 			// Seed a version the stale submission below will collide with.
 			if err := st.Apply(txn(0, 1), []message.KV{kv("x", "old")}, 5); err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{Site: 0, Store: st}
-			if grouped {
-				cfg.Policy = Policy{MaxBatch: 3}
-			}
 			applies := 0
-			cfg.OnApply = func(message.TxnID) { applies++ }
-			p := New(cfg)
+			p.cfg.OnApply = func(message.TxnID) { applies++ }
 
 			acked, committed, released := false, false, false
 			p.Submit(Txn{
@@ -364,33 +251,28 @@ func TestApplyBatchFailureAcksAbort(t *testing.T) {
 			if !grouped {
 				return
 			}
-			if p.Pending() != 0 {
-				t.Fatalf("Pending = %d, failed txn queued behind fsync", p.Pending())
+			if p.Pending() != 0 || off.jobs() != 0 {
+				t.Fatalf("Pending = %d, flushes started = %d: failed txn queued behind an fsync", p.Pending(), off.jobs())
 			}
-			// The rejected group added nothing to the open batch: exactly
-			// MaxBatch good submissions later the flush still fires.
-			acks := 0
-			for i := 0; i < 3; i++ {
-				p.Submit(Txn{
-					ID:      txn(0, 10+i),
-					Entries: []Entry{{Writes: []message.KV{kv("y", "v")}}},
-					Ack:     func(ok bool) { acks++ },
-				})
-			}
-			if acks != 3 || p.Flushes != 1 {
-				t.Fatalf("acks=%d flushes=%d after MaxBatch good txns", acks, p.Flushes)
+			// The rejected group added nothing to the open batch; the next
+			// good submission is judged on its own.
+			good := submit(p, 10)
+			off.runWork()
+			off.post()
+			if *good != 1 || p.Flushes != 1 {
+				t.Fatalf("ack=%d flushes=%d after one good txn, want 1 1", *good, p.Flushes)
 			}
 		})
 	}
 }
 
+// TestFlushFailureAcksAbort: without group commit a record whose own sync
+// failed is not durable, so its client hears failure. (Under group commit:
+// TestOffloadFsyncErrorAcksFalse.)
 func TestFlushFailureAcksAbort(t *testing.T) {
-	var buf bytes.Buffer
-	wal := storage.NewWAL(&buf)
-	failing := errors.New("disk full")
-	wal.Sync = func() error { return failing }
-	st := storage.New(wal)
-	p := New(Config{Site: 0, Store: st, Policy: Policy{MaxBatch: 2}})
+	wal := storage.NewWAL(&bytes.Buffer{})
+	wal.Sync = func() error { return errors.New("disk full") }
+	p, _ := syncPipe(t, wal)
 	var acks []bool
 	for i := 1; i <= 2; i++ {
 		p.Submit(Txn{
@@ -399,10 +281,8 @@ func TestFlushFailureAcksAbort(t *testing.T) {
 			Ack:     func(ok bool) { acks = append(acks, ok) },
 		})
 	}
-	// The batch's fsync failed: an acknowledged txn must be on disk, so
-	// neither client may hear commit.
 	if len(acks) != 2 || acks[0] || acks[1] {
-		t.Fatalf("acks = %v after failed fsync, want [false false]", acks)
+		t.Fatalf("acks = %v after failed fsyncs, want [false false]", acks)
 	}
 	if p.Flushes != 0 {
 		t.Fatalf("Flushes = %d, failed fsync counted as a flush", p.Flushes)
@@ -410,19 +290,17 @@ func TestFlushFailureAcksAbort(t *testing.T) {
 }
 
 func TestZeroRecordCommitAcksWithoutWaitingForBatch(t *testing.T) {
-	var buf bytes.Buffer
-	wal := storage.NewWAL(&buf)
-	st := storage.New(wal)
-	// No SetTimer and no MaxDelay: a queued ack would wait forever on a
-	// quiescent site.
-	p := New(Config{Site: 0, Store: st, Policy: Policy{MaxBatch: 100}})
+	off := &stepOffloader{}
+	p, _ := offloadPipe(off)
+	// Nothing to sync, so no flush will ever complete for it: a queued ack
+	// would wait forever on a quiescent site.
 	acked := false
 	p.Submit(Txn{ID: txn(0, 1), Ack: func(ok bool) { acked = ok }})
 	if !acked {
 		t.Fatal("record-less commit deferred with nothing to fsync")
 	}
-	if p.Pending() != 0 {
-		t.Fatalf("Pending = %d", p.Pending())
+	if p.Pending() != 0 || off.jobs() != 0 {
+		t.Fatalf("Pending = %d, flushes started = %d", p.Pending(), off.jobs())
 	}
 	// In a mixed group only the record-bearing txn waits for the fsync.
 	var writeAcked, emptyAcked bool
@@ -440,27 +318,31 @@ func TestZeroRecordCommitAcksWithoutWaitingForBatch(t *testing.T) {
 	if writeAcked {
 		t.Fatal("record-bearing commit acked before its fsync")
 	}
-	p.Flush()
+	off.runWork()
+	off.post()
 	if !writeAcked {
-		t.Fatal("Flush did not release the queued ack")
+		t.Fatal("the completion did not release the queued ack")
 	}
 }
 
+// TestBatchMetrics: one observation per fsync, sized by the records it
+// covered, and a summary line that reports them.
 func TestBatchMetrics(t *testing.T) {
-	var buf bytes.Buffer
-	wal := storage.NewWAL(&buf)
-	st := storage.New(wal)
-	p := New(Config{Site: 0, Store: st, Policy: Policy{MaxBatch: 4}})
+	off := &stepOffloader{}
+	p, _ := offloadPipe(off)
 	for i := 1; i <= 8; i++ {
-		p.Submit(Txn{ID: txn(0, i), Entries: []Entry{{Writes: []message.KV{kv("k", "v")}}}})
+		submit(p, i) // 1 goes in flight alone, 2..8 share the next batch
 	}
-	if p.Flushes != 2 {
-		t.Fatalf("Flushes = %d, want 2", p.Flushes)
+	for off.runWork() {
+		off.post()
 	}
-	if p.BatchSizes.Count() != 2 {
-		t.Fatalf("BatchSizes count = %d", p.BatchSizes.Count())
+	if p.Flushes != 2 || p.BatchSizes.Count() != 2 {
+		t.Fatalf("Flushes = %d, BatchSizes count = %d, want 2 and 2", p.Flushes, p.BatchSizes.Count())
 	}
-	if s := p.Summary(); s == "" {
-		t.Fatal("empty summary")
+	if lo, hi := p.BatchSizes.Quantile(0), p.BatchSizes.Quantile(1); lo != 1 || hi != 7 {
+		t.Fatalf("batch sizes %d and %d, want 1 and 7", lo, hi)
+	}
+	if s := p.Summary(); !strings.HasPrefix(s, "wal_flushes=2 sync_inflight=0 batch[") {
+		t.Fatalf("summary = %q", s)
 	}
 }

@@ -108,8 +108,6 @@ func offloadPipe(off *stepOffloader) (*Pipeline, *disk) {
 	d := &disk{}
 	wal := storage.NewWAL(&d.buf)
 	wal.Sync = func() error { d.syncs++; return d.syncErr }
-	// MaxBatch and MaxDelay are set to values the inline mode would act on
-	// at once; under Offload they must not matter.
 	p := New(Config{Store: storage.New(wal), Policy: Policy{MaxBatch: 2}, Offload: off.Offload})
 	return p, d
 }
@@ -143,9 +141,9 @@ func TestOffloadSelfClockedBatches(t *testing.T) {
 
 	a1 := submit(p, 1)
 	if off.jobs() != 1 {
-		t.Fatalf("first pending record started %d flushes, want 1 (no timer, no MaxBatch wait)", off.jobs())
+		t.Fatalf("first pending record started %d flushes, want 1 (nothing to wait for)", off.jobs())
 	}
-	a2, a3, a4 := submit(p, 2), submit(p, 3), submit(p, 4) // MaxBatch=2 passed twice over
+	a2, a3, a4 := submit(p, 2), submit(p, 3), submit(p, 4)
 	if off.jobs() != 1 {
 		t.Fatalf("%d flushes with one in flight, want 1", off.jobs())
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/commitpipe"
 	"repro/internal/message"
 	"repro/internal/netsim"
 	"repro/internal/sgraph"
@@ -40,6 +41,7 @@ func TestCheckpointKillRestartKillDurability(t *testing.T) {
 	rec := sgraph.NewRecorder()
 	cfg := failureCfg("atomic")
 	cfg.Recorder = rec
+	cfg.GroupCommit = commitpipe.Policy{MaxBatch: 2}
 	tc := &testCluster{t: t, c: c, rec: rec}
 	tracers := make([]*trace.Tracer, 3)
 	for i := 0; i < 3; i++ {

@@ -84,7 +84,9 @@ const (
 	ReasonNotPrimary
 	// ReasonViewChange: a membership change invalidated the commit.
 	ReasonViewChange
-	// ReasonStorage: a snapshot read fell below the version GC horizon.
+	// ReasonStorage: the home site's log could not make the decided commit
+	// durable (its install was rejected or its batch's fsync failed), so
+	// the client must not hear "committed".
 	ReasonStorage
 	// ReasonClient: the client called Abort.
 	ReasonClient
@@ -106,7 +108,7 @@ func (r AbortReason) String() string {
 	case ReasonViewChange:
 		return "view-change"
 	case ReasonStorage:
-		return "storage-gc"
+		return "storage"
 	case ReasonClient:
 		return "client"
 	default:
@@ -145,10 +147,11 @@ type Config struct {
 	// storage.DefaultMaxVersions, 0 = unbounded).
 	MaxVersions int
 	// GroupCommit batches WAL fsyncs in the shared commit pipeline
-	// (internal/commitpipe): with MaxBatch > 1 and a WAL configured,
-	// consecutive commits share one fsync and their client
-	// acknowledgements wait for it. The zero value preserves per-record
-	// durability.
+	// (internal/commitpipe): with MaxBatch > 1 (on; the magnitude means
+	// nothing), a WAL configured and a runtime that offers Offload,
+	// commits that arrive during one fsync share the next and their
+	// client acknowledgements wait for it. The zero value preserves
+	// per-record durability.
 	GroupCommit commitpipe.Policy
 	// Relay enables eager broadcast relaying.
 	Relay bool
@@ -417,10 +420,10 @@ func newBase(rt env.Runtime, cfg Config, name string) *base {
 	return b
 }
 
-// offloader is the optional capability of a runtime with a second thread:
-// livenet.Host runs work on its syncer goroutine and done back on the event
-// loop. The simulator has none, so its pipelines flush inline and virtual
-// time stays deterministic.
+// offloader is the optional capability of a runtime with a disk to wait
+// for: livenet.Host runs work on its syncer goroutine and done back on the
+// event loop; the simulator runs work at once and done a fixed virtual sync
+// latency later. A runtime without it gets no group commit.
 type offloader interface {
 	Offload(work, done func()) bool
 }
@@ -433,7 +436,6 @@ func (b *base) newPipeline(st *storage.Store) *commitpipe.Pipeline {
 		Site:     b.rt.ID(),
 		Store:    st,
 		Policy:   b.cfg.GroupCommit,
-		SetTimer: func(d time.Duration, fn func()) { b.rt.SetTimer(d, fn) },
 		Now:      b.rt.Now,
 		Recorder: b.cfg.Recorder,
 		Tracer:   b.cfg.Tracer,
@@ -771,15 +773,20 @@ func dedupWrites(writes []message.KV) []message.KV {
 // at the next local commit index, run applied (lock release, replica-record
 // cleanup) after the versions are visible, and acknowledge the home
 // client's callback once the commit is durable under the group-commit
-// policy.
+// policy — or tell it the commit is not durable here.
 func (b *base) commitPipelined(id message.TxnID, staged []message.KV, applied func()) {
 	b.pipe.Submit(commitpipe.Txn{
 		ID:      id,
 		Entries: []commitpipe.Entry{{Writes: staged}},
 		Applied: applied,
-		Ack: func(bool) {
-			if tx := b.local[id]; tx != nil {
+		Ack: func(durable bool) {
+			tx := b.local[id]
+			switch {
+			case tx == nil:
+			case durable:
 				b.finish(tx, Committed, ReasonNone)
+			default:
+				b.finish(tx, Aborted, ReasonStorage)
 			}
 		},
 	})

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/commitpipe"
 	"repro/internal/message"
 	"repro/internal/netsim"
 	"repro/internal/sgraph"
@@ -374,6 +375,7 @@ func TestShardedKillRestartRecovery(t *testing.T) {
 	rec := sgraph.NewRecorder()
 	cfg := shardedCfg(2, 3)
 	cfg.Recorder = rec
+	cfg.GroupCommit = commitpipe.Policy{MaxBatch: 2}
 	tc := &testCluster{t: t, c: c, rec: rec}
 	tracers := make([]*trace.Tracer, 4)
 	for i := 0; i < 4; i++ {

@@ -65,7 +65,7 @@ func TestTCPDurableAcksSurviveAbruptClose(t *testing.T) {
 		e := core.NewAtomic(h, core.Config{
 			WAL:          w,
 			InitialStore: st,
-			GroupCommit:  commitpipe.Policy{MaxBatch: 64, MaxDelay: 2 * time.Millisecond},
+			GroupCommit:  commitpipe.Policy{MaxBatch: 2},
 			Checkpoint:   checkpoint.Policy{Dir: dir, Retain: 2, Interval: 40 * time.Millisecond},
 		})
 		h.Bind(e)

@@ -138,7 +138,13 @@ type siteRT struct {
 	// lastArrival enforces FIFO per sender: arrivals from one sender are
 	// never scheduled before an earlier send's arrival.
 	lastArrival map[message.SiteID]time.Duration
+	// diskFree is when the site's one disk finishes the last offloaded job.
+	diskFree time.Duration
 }
+
+// syncLatency is the virtual time one offloaded job (a WAL batch's
+// write+fsync) keeps a site's disk busy.
+const syncLatency = 5 * time.Millisecond
 
 // NewCluster creates a cluster of n sites (ids 0..n-1) connected by the
 // given link model, with all randomness derived from seed.
@@ -422,6 +428,23 @@ func (s *siteRT) CancelTimer(id env.TimerID) {
 		return
 	}
 	s.cancelled[id] = true
+}
+
+// Offload is the simulator's disk, the capability livenet.Host offers with a
+// syncer goroutine: work runs before Offload returns — there is one
+// goroutine, and a Flush or Barrier on it that waits for the syncer's signal
+// must find it already sent — and done is a site event syncLatency after the
+// site's previous job finished, since one site has one disk. A site that
+// crashes before then never runs done: the acknowledgements die with it.
+func (s *siteRT) Offload(work, done func()) bool {
+	work()
+	s.diskFree = max(s.diskFree, s.c.now) + syncLatency
+	s.c.schedule(s.diskFree-s.c.now, func() {
+		if !s.crashed {
+			done()
+		}
+	})
+	return true
 }
 
 // Now implements env.Runtime: the site's possibly skewed local clock.
