@@ -131,6 +131,7 @@ type siteRT struct {
 	id        message.SiteID
 	node      env.Node
 	crashed   bool
+	crashes   int           // incarnation: timers and completions of an earlier one are dropped
 	offset    time.Duration // clock skew relative to cluster time
 	rng       *rand.Rand
 	nextTimer env.TimerID
@@ -266,9 +267,14 @@ func (c *Cluster) RunUntilIdle() (int, error) {
 	return n, nil
 }
 
-// Crash stops site id: pending and future deliveries and timers for it are
-// discarded until Recover.
-func (c *Cluster) Crash(id message.SiteID) { c.sites[id].crashed = true }
+// Crash stops site id: deliveries for it are discarded until Recover, and
+// the timers and offload completions it armed never fire, not even after
+// Recover — the node that armed them died, and the restarted site speaks
+// through the same runtime.
+func (c *Cluster) Crash(id message.SiteID) {
+	c.sites[id].crashed = true
+	c.sites[id].crashes++
+}
 
 // Recover restarts site id. The caller typically binds a fresh node first
 // (state is recovered through the protocol's state-transfer path) and then
@@ -408,16 +414,15 @@ func (s *siteRT) Send(to message.SiteID, m message.Message) {
 // SetTimer implements env.Runtime.
 func (s *siteRT) SetTimer(d time.Duration, fn func()) env.TimerID {
 	s.nextTimer++
-	id := s.nextTimer
+	id, inc := s.nextTimer, s.crashes
 	s.c.schedule(d, func() {
 		if s.cancelled[id] {
 			delete(s.cancelled, id)
 			return
 		}
-		if s.crashed {
-			return
+		if s.live(inc) {
+			fn()
 		}
-		fn()
 	})
 	return id
 }
@@ -439,13 +444,18 @@ func (s *siteRT) CancelTimer(id env.TimerID) {
 func (s *siteRT) Offload(work, done func()) bool {
 	work()
 	s.diskFree = max(s.diskFree, s.c.now) + syncLatency
+	inc := s.crashes
 	s.c.schedule(s.diskFree-s.c.now, func() {
-		if !s.crashed {
+		if s.live(inc) {
 			done()
 		}
 	})
 	return true
 }
+
+// live reports whether the site is up and still the incarnation that
+// scheduled the event.
+func (s *siteRT) live(inc int) bool { return !s.crashed && s.crashes == inc }
 
 // Now implements env.Runtime: the site's possibly skewed local clock.
 func (s *siteRT) Now() time.Duration { return s.c.now + s.offset }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -139,6 +140,61 @@ func TestRecoverResumesDelivery(t *testing.T) {
 	}
 	if len(b.got) != 1 {
 		t.Fatalf("got %d messages, want 1", len(b.got))
+	}
+}
+
+// TestTimerDiesWithItsIncarnation: a timer armed before a crash whose time
+// falls after the recovery must not fire — it would run the dead node's
+// code, which sends as the restarted site through the shared runtime. A
+// timer the restarted site arms itself fires as usual.
+func TestTimerDiesWithItsIncarnation(t *testing.T) {
+	c := NewCluster(2, fixedLink{time.Millisecond}, 1)
+	newEcho(c, 0)
+	newEcho(c, 1)
+	c.Start()
+	stale, fresh := false, false
+	c.Schedule(0, func() { c.Runtime(1).SetTimer(100*time.Millisecond, func() { stale = true }) })
+	c.Schedule(10*time.Millisecond, func() { c.Crash(1) })
+	c.Schedule(20*time.Millisecond, func() {
+		c.Recover(1)
+		c.Runtime(1).SetTimer(100*time.Millisecond, func() { fresh = true })
+	})
+	if _, err := c.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if stale {
+		t.Fatal("a timer armed before the crash fired after the recovery")
+	}
+	if !fresh {
+		t.Fatal("the restarted site's own timer did not fire")
+	}
+}
+
+// TestOffloadIsOneDiskPerSite: work runs before Offload returns, the
+// completions of one site follow each other a sync latency apart (another
+// site's disk is its own), and a completion still pending when its site
+// crashes never runs, restart or not.
+func TestOffloadIsOneDiskPerSite(t *testing.T) {
+	c := NewCluster(2, fixedLink{time.Millisecond}, 1)
+	var done []string
+	job := func(site int, name string) {
+		ran := false
+		c.sites[site].Offload(func() { ran = true }, func() {
+			done = append(done, fmt.Sprintf("%s@%v", name, c.Now()))
+		})
+		if !ran {
+			t.Fatalf("%s: work had not run when Offload returned", name)
+		}
+	}
+	c.Schedule(0, func() { job(0, "a"); job(0, "b"); job(1, "c") })
+	c.Schedule(12*time.Millisecond, func() { job(1, "lost") })
+	c.Schedule(13*time.Millisecond, func() { c.Crash(1) })
+	c.Schedule(14*time.Millisecond, func() { c.Recover(1) })
+	if _, err := c.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(done), "[a@5ms c@5ms b@10ms]"; got != want {
+		t.Fatalf("completions %v, want %v", got, want)
 	}
 }
 
