@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race lint lint-reprolint tracecheck bench-identical fuzz clean
+.PHONY: all build test race lint lint-gofmt lint-reprolint tracecheck bench-identical fuzz clean
 
 all: build test lint
 
@@ -20,9 +20,15 @@ race:
 # lint runs everything CI's lint job runs. staticcheck and govulncheck are
 # skipped with a note when not installed (they need network to install; the
 # project analyzers in cmd/reprolint always run).
-lint: lint-reprolint
+lint: lint-gofmt lint-reprolint
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || echo "staticcheck not installed; skipping"
 	@command -v govulncheck >/dev/null 2>&1 && govulncheck ./... || echo "govulncheck not installed; skipping"
+
+# lint-gofmt fails when a Go file outside testdata (analyzer fixtures keep
+# their layout) is not gofmt-formatted, and names it.
+lint-gofmt:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/)); \
+		test -z "$$unformatted" || { echo "gofmt needed:"; echo "$$unformatted"; exit 1; }
 
 # lint-reprolint builds the project's own analyzer suite and runs it over
 # every package via the go vet driver. Set REPROLINT_FINDINGS=<path> to

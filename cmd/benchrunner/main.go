@@ -1,16 +1,20 @@
-// Command benchrunner regenerates the full experiment suite (E1-E8 in
+// Command benchrunner regenerates the full experiment suite (E1-E17 in
 // DESIGN.md) and prints the result tables. Every run is deterministic under
 // its seed; pass -seed to replicate with different randomness.
 //
 //	benchrunner                                  # full suite
 //	benchrunner -quick                           # reduced sweep for a fast look
 //	benchrunner -run E3,E6                       # selected experiments
-//	benchrunner -quick -json BENCH_2026-08-05.json
+//	benchrunner -json BENCH_2026-10-04.json      # the committed reference
 //
 // The -json document carries, per experiment, the headline metrics plus one
 // record per harness run with throughput, abort rate, and commit-latency
 // percentiles (p50/p90/p99) — the structured counterpart of the printed
-// tables, suitable for CI artifact upload and regression diffing.
+// tables, suitable for CI artifact upload and regression diffing. Everything
+// in it but the date and E13's wall-clock throughputs and their ratio runs
+// in virtual time: the repository commits the full sweep of its tree as
+// BENCH_<date>.json, and a refactor proves itself by regenerating it
+// unchanged (`make bench-identical A=BENCH_<date>.json B=<new>`).
 package main
 
 import (

@@ -131,12 +131,12 @@ type Pass struct {
 	// ImportedFuncs holds per-function summary facts from dependencies.
 	ImportedFuncs []FuncFact
 
-	exported     map[string]bool
-	exportedFF   []FuncFact
+	exported      map[string]bool
+	exportedFF    []FuncFact
 	exportedFFSet map[FuncFact]bool
-	diags        []Diagnostic
-	suppressed   []Suppressed
-	allow        map[suppressKey]string
+	diags         []Diagnostic
+	suppressed    []Suppressed
+	allow         map[suppressKey]string
 }
 
 type suppressKey struct {

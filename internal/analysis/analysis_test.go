@@ -19,8 +19,8 @@ func TestParseAllow(t *testing.T) {
 		{"//reprolint:allow maporder x", true, "maporder", "x"},
 		{"//reprolint:allow detrand,looponly shared startup path", true, "detrand,looponly", "shared startup path"},
 		{"//reprolint:allow noalloc,nonblock,lockorder r", true, "noalloc,nonblock,lockorder", "r"},
-		{"//reprolint:allow detrand", false, "", ""},   // reason mandatory
-		{"//reprolint:allow", false, "", ""},           // analyzer mandatory
+		{"//reprolint:allow detrand", false, "", ""},          // reason mandatory
+		{"//reprolint:allow", false, "", ""},                  // analyzer mandatory
 		{"//reprolint:allow detrand,, reason", false, "", ""}, // empty name in list
 		{"// plain comment", false, "", ""},
 	}

@@ -32,22 +32,22 @@ var detRandDeny = map[string]map[string]string{
 		"AfterFunc": "env.Runtime.SetTimer",
 	},
 	"math/rand": {
-		"Int":        "env.Runtime.Rand",
-		"Intn":       "env.Runtime.Rand",
-		"Int31":      "env.Runtime.Rand",
-		"Int31n":     "env.Runtime.Rand",
-		"Int63":      "env.Runtime.Rand",
-		"Int63n":     "env.Runtime.Rand",
-		"Uint32":     "env.Runtime.Rand",
-		"Uint64":     "env.Runtime.Rand",
-		"Float32":    "env.Runtime.Rand",
-		"Float64":    "env.Runtime.Rand",
-		"ExpFloat64": "env.Runtime.Rand",
+		"Int":         "env.Runtime.Rand",
+		"Intn":        "env.Runtime.Rand",
+		"Int31":       "env.Runtime.Rand",
+		"Int31n":      "env.Runtime.Rand",
+		"Int63":       "env.Runtime.Rand",
+		"Int63n":      "env.Runtime.Rand",
+		"Uint32":      "env.Runtime.Rand",
+		"Uint64":      "env.Runtime.Rand",
+		"Float32":     "env.Runtime.Rand",
+		"Float64":     "env.Runtime.Rand",
+		"ExpFloat64":  "env.Runtime.Rand",
 		"NormFloat64": "env.Runtime.Rand",
-		"Perm":       "env.Runtime.Rand",
-		"Shuffle":    "env.Runtime.Rand",
-		"Seed":       "env.Runtime.Rand",
-		"Read":       "env.Runtime.Rand",
+		"Perm":        "env.Runtime.Rand",
+		"Shuffle":     "env.Runtime.Rand",
+		"Seed":        "env.Runtime.Rand",
+		"Read":        "env.Runtime.Rand",
 	},
 	"os": {
 		"Getenv":    "explicit configuration",

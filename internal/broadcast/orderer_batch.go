@@ -36,7 +36,8 @@ type batchState struct {
 
 	// open is the accumulating batch (leader only), in arrival order.
 	open      []pair
-	openBytes int
+	openBytes int    // encoded size of the open batch's payload envelopes
+	wire      []byte // scratch for measuring one
 
 	timerSet bool
 	timer    env.TimerID
@@ -76,7 +77,8 @@ func (bs *batchState) enqueue(p pair) {
 		return
 	}
 	bs.open = append(bs.open, p)
-	bs.openBytes += message.EstimateSize(b)
+	bs.wire = message.AppendMessage(bs.wire[:0], b)
+	bs.openBytes += len(bs.wire)
 	if len(bs.open) >= bs.s.cfg.BatchMaxMsgs || bs.openBytes >= bs.s.cfg.BatchMaxBytes {
 		bs.seal()
 		return

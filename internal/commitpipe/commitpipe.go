@@ -146,10 +146,10 @@ type Pipeline struct {
 	pendingAcks []func(bool)
 	pendingRecs int
 
-	// The batch in flight, at most one: detached from
-	// the log and with the syncer. The syncer reads inflightBatch and sends
-	// the outcome on synced (capacity 1), which is the "bytes are on disk"
-	// signal; whoever receives it on the loop completes the batch.
+	// The batch in flight, at most one: detached from the log and with the
+	// syncer. The syncer reads inflightBatch and sends the outcome on synced
+	// (capacity 1), which is the "bytes are on disk" signal; whoever
+	// receives it on the loop completes the batch.
 	inflight      bool
 	inflightBatch storage.Batch
 	inflightAcks  []func(bool)

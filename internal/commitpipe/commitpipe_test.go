@@ -217,8 +217,10 @@ func TestApplyBatchFailureAcksAbort(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			off := &stepOffloader{}
-			p, _ := offloadPipe(off)
-			if !grouped {
+			var p *Pipeline
+			if grouped {
+				p, _ = offloadPipe(off)
+			} else {
 				p, _ = syncPipe(t, storage.NewWAL(&bytes.Buffer{}))
 			}
 			st := p.cfg.Store

@@ -221,8 +221,11 @@ func TestFsyncFailureMidRunAcksAbort(t *testing.T) {
 							if syncs++; syncs > healthySyncs {
 								return errors.New("injected: fsync failed")
 							}
+							if err := sync(); err != nil {
+								return err
+							}
 							fsynced = w.AppendedBytes()
-							return sync()
+							return nil
 						}
 					}
 					return w

@@ -781,11 +781,12 @@ func (b *base) commitPipelined(id message.TxnID, staged []message.KV, applied fu
 		Applied: applied,
 		Ack: func(durable bool) {
 			tx := b.local[id]
-			switch {
-			case tx == nil:
-			case durable:
+			if tx == nil {
+				return
+			}
+			if durable {
 				b.finish(tx, Committed, ReasonNone)
-			default:
+			} else {
 				b.finish(tx, Aborted, ReasonStorage)
 			}
 		},

@@ -370,6 +370,8 @@ func testAtomicRestartResync(t *testing.T, retention int) {
 		t.Fatalf("serializability: %v", err)
 	}
 }
+
+// TestAtomicSequencerCrashFailover kills the total-order sequencer itself
 // (the lowest view member). The view change elects the next-lowest site,
 // which re-assigns any orphaned orderings; commits must resume.
 func TestAtomicSequencerCrashFailover(t *testing.T) {

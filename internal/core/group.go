@@ -312,10 +312,12 @@ func (g *replicaGroup) sendSnapshot(to message.SiteID, since uint64) {
 	cur.Stack = g.stack.ExportSync()
 	carried := g.export()
 	cur.Pending, cur.Shard = carried.Pending, carried.Shard
+	var wire []byte // scratch: each chunk is encoded once more to count its bytes
 	for i, c := range chunks {
 		c.Seq = i
 		g.stats.StateChunksSent++
-		g.stats.StateBytesSent += int64(message.EstimateSize(c))
+		wire = message.AppendMessage(wire[:0], c)
+		g.stats.StateBytesSent += int64(len(wire))
 		g.stats.StateEntriesSent += int64(len(c.Entries))
 		g.rt.Send(to, c)
 	}

@@ -2,8 +2,6 @@ package message
 
 import (
 	"testing"
-
-	"repro/internal/vclock"
 )
 
 func TestTxnIDOrderingAndString(t *testing.T) {
@@ -48,28 +46,6 @@ func TestKindStringsComplete(t *testing.T) {
 	}
 	if got := Kind(9999).String(); got != "Kind(9999)" {
 		t.Fatalf("unknown kind string %q", got)
-	}
-}
-
-// TestEstimateSizePositive ensures the size model covers every message.
-func TestEstimateSizePositive(t *testing.T) {
-	for _, m := range codecSamples() {
-		if n := EstimateSize(m); n <= 0 {
-			t.Fatalf("%v estimated size %d", m.Kind(), n)
-		}
-	}
-}
-
-func TestEstimateSizeGrowsWithPayload(t *testing.T) {
-	small := &WriteReq{Txn: TxnID{Site: 1, Seq: 1}, Key: "k", Value: make(Value, 10)}
-	big := &WriteReq{Txn: TxnID{Site: 1, Seq: 1}, Key: "k", Value: make(Value, 1000)}
-	if EstimateSize(big)-EstimateSize(small) != 990 {
-		t.Fatalf("value bytes not counted: %d vs %d", EstimateSize(big), EstimateSize(small))
-	}
-	bare := EstimateSize(&Bcast{Class: ClassReliable, Payload: small})
-	stamped := EstimateSize(&Bcast{Class: ClassCausal, VC: vclock.New(8), Payload: small})
-	if stamped <= bare {
-		t.Fatal("vector clock bytes not counted")
 	}
 }
 

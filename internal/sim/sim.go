@@ -115,6 +115,7 @@ type Cluster struct {
 	group   map[message.SiteID]int     // partition group; all 0 when healed
 	blocked map[[2]message.SiteID]bool // directed blocked links (asymmetric cuts)
 	stats   NetStats
+	wire    []byte // scratch: the last sent message's encoding, kept for its length
 
 	// LogWriter receives debug lines from nodes when non-nil.
 	LogWriter io.Writer
@@ -361,7 +362,10 @@ func (s *siteRT) Send(to message.SiteID, m message.Message) {
 	if s.crashed {
 		return
 	}
-	size := message.EstimateSize(m)
+	// Messages travel as pointers; a message is encoded only to charge the
+	// link models and the byte counters the bytes a deployment would send.
+	c.wire = message.AppendMessage(c.wire[:0], m)
+	size := len(c.wire)
 	c.stats.Messages++
 	c.stats.Bytes += int64(size)
 	c.stats.ByKind[m.Kind()]++
