@@ -21,10 +21,8 @@ type BaselineEngine struct {
 
 // rtxnB is a site's replica-side state for one update transaction.
 type rtxnB struct {
-	id     message.TxnID
-	staged []message.KV
-	doomed bool
-	voted  bool
+	replica
+	voted bool
 }
 
 var _ Engine = (*BaselineEngine)(nil)
@@ -55,7 +53,7 @@ func (e *BaselineEngine) Receive(from message.SiteID, m message.Message) {
 	case *message.UWrite:
 		e.onUWrite(t)
 	case *message.UWriteAck:
-		e.onAck(t)
+		e.onAck(*t)
 	case *message.Wound:
 		e.onWound(t)
 	case *message.Prepare:
@@ -101,10 +99,7 @@ func (e *BaselineEngine) pump(tx *Tx) {
 	if tx.nextOp < len(tx.writes) {
 		op := tx.writes[tx.nextOp]
 		tx.opInFlight = true
-		tx.ackWait = make(map[message.SiteID]bool)
-		for _, s := range e.members() {
-			tx.ackWait[s] = true
-		}
+		tx.ackWait = append(tx.ackWait[:0], e.members()...)
 		w := &message.UWrite{Txn: tx.ID, OpSeq: tx.nextOp + 1, Key: op.Key, Value: op.Value}
 		tx.opSentAt = e.rt.Now()
 		e.tr.Point(tx.ID, trace.KindWriteSend, uint64(w.OpSeq), e.rt.ID(), 1)
@@ -129,10 +124,10 @@ func (e *BaselineEngine) pump(tx *Tx) {
 		}
 		r := e.rtxn(tx.ID)
 		r.voted = true // coordinator's own vote
-		tx.ackWait = make(map[message.SiteID]bool)
+		tx.ackWait = tx.ackWait[:0]
 		for _, s := range e.members() {
 			if s != e.rt.ID() {
-				tx.ackWait[s] = true
+				tx.ackWait = append(tx.ackWait, s)
 			}
 		}
 		if len(tx.ackWait) == 0 {
@@ -195,7 +190,7 @@ func (e *BaselineEngine) abortGlobal(tx *Tx, reason AbortReason) {
 func (e *BaselineEngine) rtxn(id message.TxnID) *rtxnB {
 	r := e.remote[id]
 	if r == nil {
-		r = &rtxnB{id: id}
+		r = &rtxnB{replica: replica{id: id}}
 		e.remote[id] = r
 	}
 	return r
@@ -243,19 +238,22 @@ func (e *BaselineEngine) onUWrite(w *message.UWrite) {
 			return
 		}
 		rr.staged = append(rr.staged, message.KV{Key: w.Key, Value: w.Value})
-		e.sendAck(&message.UWriteAck{Txn: w.Txn, OpSeq: w.OpSeq, By: e.rt.ID(), OK: true})
+		e.sendAck(message.UWriteAck{Txn: w.Txn, OpSeq: w.OpSeq, By: e.rt.ID(), OK: true})
 	}
 	if e.locks.Acquire(w.Txn, w.Key, lockExclusive, true, grant) == lockGranted {
 		grant()
 	}
 }
 
-func (e *BaselineEngine) sendAck(a *message.UWriteAck) {
+// sendAck sends an acknowledgement to the home site, short-circuiting when
+// this site is the home. Only the message that leaves the site is boxed.
+func (e *BaselineEngine) sendAck(a message.UWriteAck) {
 	if a.Txn.Site == e.rt.ID() {
 		e.onAck(a)
 		return
 	}
-	e.rt.Send(a.Txn.Site, a)
+	out := a // boxing &a instead would move a to the heap on the self path too
+	e.rt.Send(a.Txn.Site, &out)
 }
 
 // wound notifies a younger transaction's home site to abort it.
@@ -285,7 +283,7 @@ func (e *BaselineEngine) onWound(w *message.Wound) {
 }
 
 // onAck advances the home site's write pipeline.
-func (e *BaselineEngine) onAck(a *message.UWriteAck) {
+func (e *BaselineEngine) onAck(a message.UWriteAck) {
 	tx := e.local[a.Txn]
 	if tx == nil || tx.state == txDone || !tx.opInFlight || a.OpSeq != tx.nextOp+1 {
 		return
@@ -299,7 +297,7 @@ func (e *BaselineEngine) onAck(a *message.UWriteAck) {
 		e.abortGlobal(tx, ReasonWriteConflict)
 		return
 	}
-	delete(tx.ackWait, a.By)
+	tx.ackWait = dropSite(tx.ackWait, a.By)
 	if len(tx.ackWait) == 0 {
 		e.tr.Interval(tx.ID, trace.KindAckWait, tx.opSentAt, uint64(a.OpSeq), e.rt.ID(), 0)
 		tx.opInFlight = false
@@ -331,7 +329,7 @@ func (e *BaselineEngine) onVote(v *message.PrepareVote) {
 		e.decide(tx, false)
 		return
 	}
-	delete(tx.ackWait, v.By)
+	tx.ackWait = dropSite(tx.ackWait, v.By)
 	if len(tx.ackWait) == 0 {
 		e.decide(tx, true)
 	}
@@ -368,7 +366,7 @@ func (e *BaselineEngine) onDecision(d *message.PDecision) {
 		return
 	}
 	if d.Commit {
-		e.commitPipelined(d.Txn, r.staged, func() {
+		e.commitPipelined(&r.replica, func() {
 			e.locks.ReleaseAll(d.Txn)
 			delete(e.remote, d.Txn)
 		})

@@ -37,9 +37,7 @@ type CausalEngine struct {
 
 // rtxnC is a site's replica-side state for one update transaction.
 type rtxnC struct {
-	id     message.TxnID
-	staged []message.KV
-	doomed bool
+	replica
 }
 
 var _ Engine = (*CausalEngine)(nil)
@@ -282,7 +280,7 @@ func (e *CausalEngine) waitingSnapshot() []*Tx {
 func (e *CausalEngine) rtxn(id message.TxnID) *rtxnC {
 	r := e.remote[id]
 	if r == nil {
-		r = &rtxnC{id: id}
+		r = &rtxnC{replica{id: id}}
 		e.remote[id] = r
 	}
 	return r
@@ -371,7 +369,7 @@ func (e *CausalEngine) onDecision(d *message.Decision) {
 			e.rt.Logf("causal: commit decision for missing/doomed %v", d.Txn)
 			return
 		}
-		e.commitPipelined(d.Txn, r.staged, func() {
+		e.commitPipelined(&r.replica, func() {
 			e.locks.ReleaseAll(d.Txn)
 			delete(e.remote, d.Txn)
 		})

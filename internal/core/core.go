@@ -27,6 +27,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -282,18 +283,17 @@ type Tx struct {
 	reason   AbortReason
 	commitCB func(Outcome, AbortReason)
 
-	reads      []sgraph.ReadObs
-	writes     []message.KV
-	writeByKey map[message.Key]int
+	reads  []sgraph.ReadObs
+	writes []message.KV
 
 	// readWaits holds cancellation hooks for reads queued on the local
 	// lock table, fired with ErrTxnDone if the transaction dies first (a
 	// wound, a view change) so the client's continuation always runs.
 	readWaits []func()
 
-	// Protocol R write pipeline.
-	nextOp     int                     // next unsent write (index into writes)
-	ackWait    map[message.SiteID]bool // sites whose ack for the in-flight op is pending
+	// Protocol R and baseline write pipeline.
+	nextOp     int              // next unsent write (index into writes)
+	ackWait    []message.SiteID // sites whose ack for the in-flight op is pending; reused across ops
 	opInFlight bool
 
 	// Tracing anchors: when the last write round started and when commit
@@ -556,11 +556,10 @@ func (b *base) observe(from message.SiteID) {
 func (b *base) begin(readOnly bool) *Tx {
 	b.nextSeq++
 	tx := &Tx{
-		ID:         message.TxnID{Site: b.rt.ID(), Seq: b.nextSeq},
-		ReadOnly:   readOnly,
-		state:      txActive,
-		beganAt:    b.rt.Now(),
-		writeByKey: make(map[message.Key]int),
+		ID:       message.TxnID{Site: b.rt.ID(), Seq: b.nextSeq},
+		ReadOnly: readOnly,
+		state:    txActive,
+		beganAt:  b.rt.Now(),
 	}
 	b.local[tx.ID] = tx
 	b.stats.Begun++
@@ -643,20 +642,18 @@ func writeKeys(writes []message.KV) []message.Key {
 // engines (R, C, baseline): acquire a local S lock (waiting behind
 // exclusive holders), then read the latest committed version. With
 // Config.SnapshotReadOnly, read-only transactions skip the lock entirely.
+//
+// The lock is first tried without waiting: a refused no-wait request
+// changes nothing in the table, so a granted read — the common case — runs
+// at once and builds no continuation closures. Only a conflicting read
+// queues, with the same request it would have made directly.
 func (b *base) lockingRead(tx *Tx, key message.Key, cb func(message.Value, error)) {
 	if err := b.readPrecheck(tx); err != nil {
 		cb(nil, err)
 		return
 	}
-	if b.cfg.SnapshotReadOnly && tx.ReadOnly {
-		rec, ok := b.store.Get(key)
-		var from message.TxnID
-		var val message.Value
-		if ok {
-			from, val = rec.Writer, rec.Value
-		}
-		tx.reads = append(tx.reads, sgraph.ReadObs{Key: key, From: from})
-		cb(val, nil)
+	if (b.cfg.SnapshotReadOnly && tx.ReadOnly) || b.locks.Acquire(tx.ID, key, lockShared, false, nil) == lockGranted {
+		cb(b.readLatest(tx, key), nil)
 		return
 	}
 	fired := false
@@ -672,27 +669,27 @@ func (b *base) lockingRead(tx *Tx, key message.Key, cb func(message.Value, error
 			fire(nil, ErrTxnDone)
 			return
 		}
-		rec, ok := b.store.Get(key)
-		var from message.TxnID
-		var val message.Value
-		if ok {
-			from = rec.Writer
-			val = rec.Value
-		}
-		tx.reads = append(tx.reads, sgraph.ReadObs{Key: key, From: from})
-		fire(val, nil)
+		fire(b.readLatest(tx, key), nil)
 	}
-	switch b.locks.Acquire(tx.ID, key, lockmgr.Shared, true, finishRead) {
-	case lockmgr.Granted:
-		finishRead()
+	switch b.locks.Acquire(tx.ID, key, lockShared, true, finishRead) {
 	case lockmgr.Queued:
 		// finishRead fires on grant; the cancellation hook covers an abort
 		// while queued.
 		tx.readWaits = append(tx.readWaits, func() { fire(nil, ErrTxnDone) })
-	case lockmgr.Conflict:
-		// Cannot happen with wait=true; defensive.
-		fire(nil, fmt.Errorf("core: unexpected lock conflict on %q", key))
+	default:
+		// The no-wait attempt just conflicted and changed nothing, so a
+		// waiting request can only queue; defensive.
+		fire(nil, fmt.Errorf("core: unexpected lock result on %q", key))
 	}
+}
+
+// readLatest reads key's latest committed version for tx and records the
+// observation for the serializability checker. A key never written reads
+// as nil from the zero writer.
+func (b *base) readLatest(tx *Tx, key message.Key) message.Value {
+	rec, _ := b.store.Get(key)
+	tx.reads = append(tx.reads, sgraph.ReadObs{Key: key, From: rec.Writer})
+	return rec.Value
 }
 
 // snapshotRead serves one protocol A read from st at snapshot index at: no
@@ -730,8 +727,9 @@ func (b *base) readPrecheck(tx *Tx) error {
 	}
 }
 
-// bufferWrite validates and appends a write to the transaction, collapsing
-// repeated writes to the same key onto the highest operation.
+// bufferWrite validates and appends a write to the transaction. Repeated
+// writes to one key stay separate operations; dedupWrites collapses them
+// where a write set is needed.
 func (b *base) bufferWrite(tx *Tx, key message.Key, val message.Value) error {
 	switch {
 	case tx.state == txDone:
@@ -745,7 +743,6 @@ func (b *base) bufferWrite(tx *Tx, key message.Key, val message.Value) error {
 	}
 	tx.wrote = true
 	tx.writes = append(tx.writes, message.KV{Key: key, Value: val})
-	tx.writeByKey[key] = len(tx.writes) - 1
 	return nil
 }
 
@@ -768,16 +765,37 @@ func dedupWrites(writes []message.KV) []message.KV {
 	return out
 }
 
-// commitPipelined feeds a decided lock-based commit (protocols R, C, and
-// the ROWA baseline) through the shared pipeline: install the staged writes
-// at the next local commit index, run applied (lock release, replica-record
-// cleanup) after the versions are visible, and acknowledge the home
-// client's callback once the commit is durable under the group-commit
-// policy — or tell it the commit is not durable here.
-func (b *base) commitPipelined(id message.TxnID, staged []message.KV, applied func()) {
+// dropSite removes s from a pending-acknowledgement set, if present.
+func dropSite(pending []message.SiteID, s message.SiteID) []message.SiteID {
+	if i := slices.Index(pending, s); i >= 0 {
+		return slices.Delete(pending, i, i+1)
+	}
+	return pending
+}
+
+// replica is the record a lock-based engine (protocols R, C, and the ROWA
+// baseline) keeps at every site for one update transaction: the writes
+// staged under its exclusive locks, and the pipeline entry that installs
+// them, kept here so a commit allocates no entry slice.
+type replica struct {
+	id     message.TxnID
+	staged []message.KV
+	doomed bool
+	entry  [1]commitpipe.Entry
+}
+
+// commitPipelined feeds a decided lock-based commit through the shared
+// pipeline: install r's staged writes at the next local commit index, run
+// applied (lock release, replica-record cleanup) after the versions are
+// visible, and acknowledge the home client's callback once the commit is
+// durable under the group-commit policy — or tell it the commit is not
+// durable here.
+func (b *base) commitPipelined(r *replica, applied func()) {
+	id := r.id
+	r.entry[0] = commitpipe.Entry{Writes: r.staged}
 	b.pipe.Submit(commitpipe.Txn{
 		ID:      id,
-		Entries: []commitpipe.Entry{{Writes: staged}},
+		Entries: r.entry[:],
 		Applied: applied,
 		Ack: func(durable bool) {
 			tx := b.local[id]

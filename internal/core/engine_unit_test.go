@@ -21,9 +21,9 @@ func TestReliableDuplicateAcksIgnored(t *testing.T) {
 	// twice or panic.
 	tc.c.Schedule(2*time.Millisecond, func() {
 		e := tc.engines[0].(*ReliableEngine)
-		e.onWriteAck(&message.WriteAck{Txn: message.TxnID{Site: 0, Seq: 1}, OpSeq: 1, By: 1, OK: true})
-		e.onWriteAck(&message.WriteAck{Txn: message.TxnID{Site: 0, Seq: 1}, OpSeq: 99, By: 1, OK: true}) // stale opseq
-		e.onWriteAck(&message.WriteAck{Txn: message.TxnID{Site: 9, Seq: 9}, OpSeq: 1, By: 1, OK: true})  // unknown txn
+		e.onWriteAck(message.WriteAck{Txn: message.TxnID{Site: 0, Seq: 1}, OpSeq: 1, By: 1, OK: true})
+		e.onWriteAck(message.WriteAck{Txn: message.TxnID{Site: 0, Seq: 1}, OpSeq: 99, By: 1, OK: true}) // stale opseq
+		e.onWriteAck(message.WriteAck{Txn: message.TxnID{Site: 9, Seq: 9}, OpSeq: 1, By: 1, OK: true})  // unknown txn
 	})
 	tc.run(5 * time.Second)
 	if !res.done || res.outcome != Committed {

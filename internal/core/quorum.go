@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/commitpipe"
 	"repro/internal/env"
@@ -240,11 +240,8 @@ func (e *QuorumEngine) Commit(tx *Tx, cb func(Outcome, AbortReason)) {
 		return
 	}
 	tx.state = txCommitWait
-	keys := make([]message.Key, 0, len(tx.writeByKey))
-	for k := range tx.writeByKey {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys := writeKeys(dedupWrites(tx.writes))
+	slices.Sort(keys)
 	e.lockRounds[tx.ID] = &qLockRound{replies: make(map[message.SiteID][]message.KeyVer)}
 	tx.commitAt = e.rt.Now()
 	e.tr.Point(tx.ID, trace.KindCommitReq, 0, e.rt.ID(), int64(len(keys)))
@@ -371,7 +368,8 @@ func (e *QuorumEngine) onLockReply(rep *message.QLockReply) {
 	delete(e.lockRounds, rep.Txn)
 	// New version per key: the quorum's maximum plus one. Quorum
 	// intersection guarantees the maximum covers every committed write.
-	maxVer := make(map[message.Key]uint64, len(tx.writeByKey))
+	writes := dedupWrites(tx.writes)
+	maxVer := make(map[message.Key]uint64, len(writes))
 	for _, vers := range round.replies {
 		for _, kv := range vers {
 			if kv.Ver > maxVer[kv.Key] {
@@ -379,7 +377,6 @@ func (e *QuorumEngine) onLockReply(rep *message.QLockReply) {
 			}
 		}
 	}
-	writes := dedupWrites(tx.writes)
 	commit := &message.QCommit{Txn: tx.ID, Writes: writes}
 	for _, w := range writes {
 		commit.Vers = append(commit.Vers, message.KeyVer{Key: w.Key, Ver: maxVer[w.Key] + 1})

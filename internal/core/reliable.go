@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/broadcast"
@@ -27,13 +28,27 @@ type ReliableEngine struct {
 
 // rtxnR is a site's replica-side state for one update transaction.
 type rtxnR struct {
-	id      message.TxnID
-	staged  []message.KV
+	replica
 	seenOps int
 	nOps    int // write count announced by an abort decision; -1 = unknown
-	doomed  bool
 	decided bool
-	votes   map[message.SiteID]bool
+	votes   []siteVote // first vote of each site, in arrival order
+}
+
+// siteVote is one site's vote in protocol R's decentralized commit.
+type siteVote struct {
+	site message.SiteID
+	yes  bool
+}
+
+// vote returns site's vote on r, if it has arrived.
+func (r *rtxnR) vote(site message.SiteID) (yes, ok bool) {
+	for _, v := range r.votes {
+		if v.site == site {
+			return v.yes, true
+		}
+	}
+	return false, false
 }
 
 var _ Engine = (*ReliableEngine)(nil)
@@ -80,7 +95,7 @@ func (e *ReliableEngine) Receive(from message.SiteID, m message.Message) {
 		case *message.Heartbeat:
 			// Liveness only; already observed.
 		case *message.WriteAck:
-			e.onWriteAck(t)
+			e.onWriteAck(*t)
 		default:
 			e.rt.Logf("reliable: unexpected %v from %v", m.Kind(), from)
 		}
@@ -121,10 +136,7 @@ func (e *ReliableEngine) pump(tx *Tx) {
 			// One batch broadcast covers the whole write set; a single
 			// all-sites acknowledgement round follows.
 			tx.opInFlight = true
-			tx.ackWait = make(map[message.SiteID]bool)
-			for _, s := range e.members() {
-				tx.ackWait[s] = true
-			}
+			tx.ackWait = append(tx.ackWait[:0], e.members()...)
 			batch := &message.WriteBatch{Txn: tx.ID, Writes: dedupWrites(tx.writes)}
 			tx.nextOp = len(tx.writes)
 			tx.opSentAt = e.rt.Now()
@@ -140,10 +152,7 @@ func (e *ReliableEngine) pump(tx *Tx) {
 	if tx.nextOp < len(tx.writes) {
 		op := tx.writes[tx.nextOp]
 		tx.opInFlight = true
-		tx.ackWait = make(map[message.SiteID]bool)
-		for _, s := range e.members() {
-			tx.ackWait[s] = true
-		}
+		tx.ackWait = append(tx.ackWait[:0], e.members()...)
 		// The local delivery inside Broadcast acknowledges (or refuses)
 		// synchronously through onWriteAck, so ackWait is set up first.
 		tx.opSentAt = e.rt.Now()
@@ -194,12 +203,12 @@ func (e *ReliableEngine) onWriteBatch(wb *message.WriteBatch) {
 			r.doomed = true
 			r.staged = nil
 			e.locks.ReleaseAll(wb.Txn)
-			e.ack(&message.WriteAck{Txn: wb.Txn, OpSeq: 0, By: e.rt.ID(), OK: false})
+			e.ack(message.WriteAck{Txn: wb.Txn, OpSeq: 0, By: e.rt.ID(), OK: false})
 			return
 		}
 	}
 	r.staged = append(r.staged, wb.Writes...)
-	e.ack(&message.WriteAck{Txn: wb.Txn, OpSeq: 0, By: e.rt.ID(), OK: true})
+	e.ack(message.WriteAck{Txn: wb.Txn, OpSeq: 0, By: e.rt.ID(), OK: true})
 }
 
 // Abort implements Engine. Once Commit has been requested the outcome is
@@ -237,7 +246,7 @@ func (e *ReliableEngine) abortLocal(tx *Tx, reason AbortReason) {
 }
 
 // onWriteAck processes one site's explicit acknowledgement.
-func (e *ReliableEngine) onWriteAck(a *message.WriteAck) {
+func (e *ReliableEngine) onWriteAck(a message.WriteAck) {
 	tx := e.local[a.Txn]
 	if tx == nil || tx.state == txDone || !tx.opInFlight {
 		return
@@ -258,7 +267,7 @@ func (e *ReliableEngine) onWriteAck(a *message.WriteAck) {
 		e.abortLocal(tx, ReasonWriteConflict)
 		return
 	}
-	delete(tx.ackWait, a.By)
+	tx.ackWait = dropSite(tx.ackWait, a.By)
 	if len(tx.ackWait) == 0 {
 		// The acknowledgement round for this operation is complete.
 		e.tr.Interval(tx.ID, trace.KindAckWait, tx.opSentAt, uint64(a.OpSeq), e.rt.ID(), 0)
@@ -289,20 +298,21 @@ func (e *ReliableEngine) deliver(d broadcast.Delivery) {
 func (e *ReliableEngine) rtxn(id message.TxnID) *rtxnR {
 	r := e.remote[id]
 	if r == nil {
-		r = &rtxnR{id: id, nOps: -1, votes: make(map[message.SiteID]bool)}
+		r = &rtxnR{replica: replica{id: id}, nOps: -1}
 		e.remote[id] = r
 	}
 	return r
 }
 
 // ack sends an acknowledgement to the home site, short-circuiting when this
-// site is the home.
-func (e *ReliableEngine) ack(a *message.WriteAck) {
+// site is the home. Only the message that leaves the site is boxed.
+func (e *ReliableEngine) ack(a message.WriteAck) {
 	if a.Txn.Site == e.rt.ID() {
 		e.onWriteAck(a)
 		return
 	}
-	e.rt.Send(a.Txn.Site, a)
+	out := a // boxing &a instead would move a to the heap on the self path too
+	e.rt.Send(a.Txn.Site, &out)
 }
 
 // onWriteReq attempts the exclusive lock for a replicated write: granted →
@@ -318,12 +328,12 @@ func (e *ReliableEngine) onWriteReq(w *message.WriteReq) {
 	switch e.locks.Acquire(w.Txn, w.Key, lockExclusive, false, nil) {
 	case lockGranted:
 		r.staged = append(r.staged, message.KV{Key: w.Key, Value: w.Value})
-		e.ack(&message.WriteAck{Txn: w.Txn, OpSeq: w.OpSeq, By: e.rt.ID(), OK: true})
+		e.ack(message.WriteAck{Txn: w.Txn, OpSeq: w.OpSeq, By: e.rt.ID(), OK: true})
 	default:
 		r.doomed = true
 		r.staged = nil
 		e.locks.ReleaseAll(w.Txn)
-		e.ack(&message.WriteAck{Txn: w.Txn, OpSeq: w.OpSeq, By: e.rt.ID(), OK: false})
+		e.ack(message.WriteAck{Txn: w.Txn, OpSeq: w.OpSeq, By: e.rt.ID(), OK: false})
 	}
 }
 
@@ -345,8 +355,11 @@ func (e *ReliableEngine) onVote(v *message.Vote) {
 	if r.decided {
 		return
 	}
-	if _, dup := r.votes[v.By]; !dup {
-		r.votes[v.By] = v.Yes
+	if _, dup := r.vote(v.By); !dup {
+		if r.votes == nil {
+			r.votes = make([]siteVote, 0, len(e.members()))
+		}
+		r.votes = append(r.votes, siteVote{site: v.By, yes: v.Yes})
 	}
 	e.tally(r)
 }
@@ -356,7 +369,7 @@ func (e *ReliableEngine) tally(r *rtxnR) {
 		return
 	}
 	for _, s := range e.members() {
-		yes, ok := r.votes[s]
+		yes, ok := r.vote(s)
 		if !ok {
 			return // still waiting
 		}
@@ -370,7 +383,7 @@ func (e *ReliableEngine) tally(r *rtxnR) {
 
 func (e *ReliableEngine) decideCommit(r *rtxnR) {
 	r.decided = true
-	e.commitPipelined(r.id, r.staged, func() {
+	e.commitPipelined(&r.replica, func() {
 		e.locks.ReleaseAll(r.id)
 		delete(e.remote, r.id)
 	})
@@ -433,11 +446,7 @@ func (e *ReliableEngine) onViewChange() {
 	}
 	for _, tx := range e.localSnapshot() {
 		if tx.opInFlight {
-			for s := range tx.ackWait {
-				if !members[s] {
-					delete(tx.ackWait, s)
-				}
-			}
+			tx.ackWait = slices.DeleteFunc(tx.ackWait, func(s message.SiteID) bool { return !members[s] })
 			if len(tx.ackWait) == 0 {
 				tx.opInFlight = false
 				tx.nextOp++

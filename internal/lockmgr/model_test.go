@@ -2,6 +2,8 @@ package lockmgr
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/message"
@@ -19,6 +21,7 @@ type modelState struct {
 type modelWaiter struct {
 	txn  message.TxnID
 	mode Mode
+	id   int // identifies the request's grant callback
 }
 
 func newModel() *modelState {
@@ -40,8 +43,16 @@ func (m *modelState) compatibleWithHolders(key message.Key, txn message.TxnID, m
 	return true
 }
 
-// acquire mirrors Manager.Acquire's contract.
-func (m *modelState) acquire(txn message.TxnID, key message.Key, mode Mode, wait bool) Result {
+func (m *modelState) hold(key message.Key, txn message.TxnID, mode Mode) {
+	if m.holders[key] == nil {
+		m.holders[key] = make(map[message.TxnID]Mode)
+	}
+	m.holders[key][txn] = mode
+}
+
+// acquire mirrors Manager.Acquire's contract; id names the grant callback
+// of a request that queues.
+func (m *modelState) acquire(txn message.TxnID, key message.Key, mode Mode, wait bool, id int) Result {
 	if cur, ok := m.holders[key][txn]; ok {
 		if cur >= mode {
 			return Granted
@@ -50,33 +61,25 @@ func (m *modelState) acquire(txn message.TxnID, key message.Key, mode Mode, wait
 			m.holders[key][txn] = mode
 			return Granted
 		}
-		if !wait {
-			return Conflict
-		}
-		m.queue[key] = append(m.queue[key], modelWaiter{txn, mode})
-		return Queued
-	}
-	if len(m.queue[key]) == 0 && m.compatibleWithHolders(key, txn, mode) {
-		if m.holders[key] == nil {
-			m.holders[key] = make(map[message.TxnID]Mode)
-		}
-		m.holders[key][txn] = mode
+	} else if len(m.queue[key]) == 0 && m.compatibleWithHolders(key, txn, mode) {
+		m.hold(key, txn, mode)
 		return Granted
 	}
 	if !wait {
 		return Conflict
 	}
-	m.queue[key] = append(m.queue[key], modelWaiter{txn, mode})
+	m.queue[key] = append(m.queue[key], modelWaiter{txn, mode, id})
 	return Queued
 }
 
-func (m *modelState) releaseAll(txn message.TxnID) {
-	for key, hs := range m.holders {
+// releaseAll drops txn everywhere, then promotes every key's queue in
+// sorted key order and returns the granted callbacks in firing order.
+func (m *modelState) releaseAll(txn message.TxnID) []int {
+	for _, hs := range m.holders {
 		delete(hs, txn)
-		_ = key
 	}
 	for key, q := range m.queue {
-		out := q[:0]
+		var out []modelWaiter
 		for _, w := range q {
 			if w.txn != txn {
 				out = append(out, w)
@@ -84,32 +87,33 @@ func (m *modelState) releaseAll(txn message.TxnID) {
 		}
 		m.queue[key] = out
 	}
-	// Promote queue heads exactly like the Manager does.
+	keys := make([]message.Key, 0, len(m.queue))
 	for key := range m.queue {
-		m.promote(key)
+		keys = append(keys, key)
 	}
+	slices.Sort(keys)
+	var granted []int
+	for _, key := range keys {
+		granted = m.promote(key, granted)
+	}
+	return granted
 }
 
-func (m *modelState) promote(key message.Key) {
+func (m *modelState) promote(key message.Key, granted []int) []int {
 	for len(m.queue[key]) > 0 {
 		w := m.queue[key][0]
 		if cur, held := m.holders[key][w.txn]; held {
-			if cur >= w.mode || len(m.holders[key]) == 1 {
-				m.holders[key][w.txn] = w.mode
-				m.queue[key] = m.queue[key][1:]
-				continue
+			if cur < w.mode && len(m.holders[key]) > 1 {
+				return granted
 			}
-			return
+		} else if !m.compatibleWithHolders(key, w.txn, w.mode) {
+			return granted
 		}
-		if !m.compatibleWithHolders(key, w.txn, w.mode) {
-			return
-		}
-		if m.holders[key] == nil {
-			m.holders[key] = make(map[message.TxnID]Mode)
-		}
-		m.holders[key][w.txn] = w.mode
+		m.hold(key, w.txn, w.mode)
 		m.queue[key] = m.queue[key][1:]
+		granted = append(granted, w.id)
 	}
+	return granted
 }
 
 func (m *modelState) locks() int {
@@ -128,39 +132,113 @@ func (m *modelState) waiters() int {
 	return n
 }
 
-// TestManagerMatchesModel runs long random operation streams and asserts
-// the Manager and the reference model agree on every Acquire result and on
-// the aggregate holder/waiter counts after every step.
+// holdersOf returns key's holders sorted, as Manager.Holders does.
+func (m *modelState) holdersOf(key message.Key) []message.TxnID {
+	var out []message.TxnID
+	for t := range m.holders[key] {
+		out = append(out, t)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
+}
+
+// heldBy returns the keys txn holds, sorted.
+func (m *modelState) heldBy(txn message.TxnID) []message.Key {
+	var out []message.Key
+	for key, hs := range m.holders {
+		if _, ok := hs[txn]; ok {
+			out = append(out, key)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// sharedHeld returns a key txn holds in shared mode, or "" — the start of
+// a deliberate upgrade.
+func (m *modelState) sharedHeld(txn message.TxnID) message.Key {
+	for _, key := range m.heldBy(txn) {
+		if m.holders[key][txn] == Shared {
+			return key
+		}
+	}
+	return ""
+}
+
+// TestManagerMatchesModel runs long random operation streams — shared and
+// exclusive requests, waiting or not, deliberate upgrades of held shared
+// locks, releases — and asserts the Manager and the reference model agree
+// on every Acquire result, on the order in which grant callbacks fire, and
+// after every step on each key's holders and their modes, each
+// transaction's held keys, and the holder/waiter totals.
 func TestManagerMatchesModel(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 30; trial++ {
-		mgr := New()
-		model := newModel()
-		for step := 0; step < 500; step++ {
-			txn := message.TxnID{Site: message.SiteID(r.Intn(3)), Seq: uint64(1 + r.Intn(12))}
-			key := message.Key([]byte{'a' + byte(r.Intn(5))})
-			switch r.Intn(5) {
-			case 0, 1:
-				mode := Shared
-				if r.Intn(2) == 0 {
-					mode = Exclusive
+	var txns []message.TxnID
+	for site := 0; site < 3; site++ {
+		for seq := 1; seq <= 12; seq++ {
+			txns = append(txns, message.TxnID{Site: message.SiteID(site), Seq: uint64(seq)})
+		}
+	}
+	keys := []message.Key{"a", "b", "c", "d", "e"}
+	for _, seed := range []int64{99, 7, 2024} {
+		r := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 30; trial++ {
+			mgr := New()
+			model := newModel()
+			var fired []int
+			for step := 0; step < 500; step++ {
+				txn := txns[r.Intn(len(txns))]
+				key := keys[r.Intn(len(keys))]
+				op := r.Intn(6)
+				if op == 2 {
+					// Deliberate upgrade: X on a key txn holds shared.
+					if k := model.sharedHeld(txn); k != "" {
+						key = k
+					}
 				}
-				wait := r.Intn(2) == 0
-				got := mgr.Acquire(txn, key, mode, wait, nil)
-				want := model.acquire(txn, key, mode, wait)
-				if got != want {
-					t.Fatalf("trial %d step %d: Acquire(%v,%q,%v,wait=%v) = %v, model says %v",
-						trial, step, txn, key, mode, wait, got, want)
+				switch op {
+				case 0, 1, 2:
+					mode := Shared
+					if op == 2 || r.Intn(2) == 0 {
+						mode = Exclusive
+					}
+					wait := op == 2 || r.Intn(2) == 0
+					id := step
+					got := mgr.Acquire(txn, key, mode, wait, func() { fired = append(fired, id) })
+					want := model.acquire(txn, key, mode, wait, id)
+					if got != want {
+						t.Fatalf("seed %d trial %d step %d: Acquire(%v,%q,%v,wait=%v) = %v, model says %v",
+							seed, trial, step, txn, key, mode, wait, got, want)
+					}
+				default:
+					fired = fired[:0]
+					mgr.ReleaseAll(txn)
+					if want := model.releaseAll(txn); !slices.Equal(fired, want) {
+						t.Fatalf("seed %d trial %d step %d: ReleaseAll(%v) granted %v, model says %v",
+							seed, trial, step, txn, fired, want)
+					}
 				}
-			default:
-				mgr.ReleaseAll(txn)
-				model.releaseAll(txn)
-			}
-			if mgr.Locks() != model.locks() {
-				t.Fatalf("trial %d step %d: locks %d vs model %d", trial, step, mgr.Locks(), model.locks())
-			}
-			if mgr.Waiters() != model.waiters() {
-				t.Fatalf("trial %d step %d: waiters %d vs model %d", trial, step, mgr.Waiters(), model.waiters())
+				if mgr.Locks() != model.locks() {
+					t.Fatalf("seed %d trial %d step %d: locks %d vs model %d", seed, trial, step, mgr.Locks(), model.locks())
+				}
+				if mgr.Waiters() != model.waiters() {
+					t.Fatalf("seed %d trial %d step %d: waiters %d vs model %d", seed, trial, step, mgr.Waiters(), model.waiters())
+				}
+				for _, k := range keys {
+					got, want := mgr.Holders(k), model.holdersOf(k)
+					if !slices.Equal(got, want) {
+						t.Fatalf("seed %d trial %d step %d: Holders(%q) = %v, model says %v", seed, trial, step, k, got, want)
+					}
+					for _, h := range want {
+						if got, want := mgr.HolderMode(h, k), model.holders[k][h]; got != want {
+							t.Fatalf("seed %d trial %d step %d: HolderMode(%v,%q) = %v, model says %v", seed, trial, step, h, k, got, want)
+						}
+					}
+				}
+				for _, x := range txns {
+					if got, want := mgr.HeldKeys(x), model.heldBy(x); !slices.Equal(got, want) {
+						t.Fatalf("seed %d trial %d step %d: HeldKeys(%v) = %v, model says %v", seed, trial, step, x, got, want)
+					}
+				}
 			}
 		}
 	}
