@@ -344,7 +344,10 @@ func (m *Manager) promote(key message.Key, e *entry, grants []func()) []func() {
 			if e.holders[i].mode < w.mode && len(e.holders) > 1 {
 				return grants
 			}
-			e.holders[i].mode = w.mode
+			// A grant never lowers a held mode: a transaction holding X
+			// from an earlier queued request keeps X when its queued S
+			// request reaches the head.
+			e.holders[i].mode = max(e.holders[i].mode, w.mode)
 		} else {
 			if !e.compatibleWith(w.mode) {
 				return grants

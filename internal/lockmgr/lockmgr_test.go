@@ -128,6 +128,33 @@ func TestQueuedUpgradeGrantsWhenSole(t *testing.T) {
 	}
 }
 
+// TestQueuedSharedBehindOwnExclusiveKeepsX: a transaction queues X and then S
+// on one key. When both are granted in one promotion, the S grant must not
+// downgrade the X it already holds, or a third transaction's S request
+// would be admitted beside a writer.
+func TestQueuedSharedBehindOwnExclusiveKeepsX(t *testing.T) {
+	m := New()
+	b, tx, third := txn(0, 1), txn(1, 1), txn(2, 1)
+	m.Acquire(b, "k", Shared, false, nil)
+	var fired int
+	if r := m.Acquire(tx, "k", Exclusive, true, func() { fired++ }); r != Queued {
+		t.Fatalf("queued X: %v", r)
+	}
+	if r := m.Acquire(tx, "k", Shared, true, func() { fired++ }); r != Queued {
+		t.Fatalf("queued S behind own X: %v", r)
+	}
+	m.ReleaseAll(b)
+	if fired != 2 {
+		t.Fatalf("%d of 2 queued requests granted", fired)
+	}
+	if got := m.HolderMode(tx, "k"); got != Exclusive {
+		t.Fatalf("mode after both grants = %v, want X", got)
+	}
+	if r := m.Acquire(third, "k", Shared, false, nil); r != Conflict {
+		t.Fatalf("S beside a held X: %v, want Conflict", r)
+	}
+}
+
 func TestReleaseWhileQueuedRemoves(t *testing.T) {
 	m := New()
 	m.Acquire(txn(0, 1), "x", Exclusive, false, nil)

@@ -102,14 +102,16 @@ func (m *modelState) releaseAll(txn message.TxnID) []int {
 func (m *modelState) promote(key message.Key, granted []int) []int {
 	for len(m.queue[key]) > 0 {
 		w := m.queue[key][0]
+		mode := w.mode
 		if cur, held := m.holders[key][w.txn]; held {
 			if cur < w.mode && len(m.holders[key]) > 1 {
 				return granted
 			}
+			mode = max(cur, w.mode) // a grant never lowers a held mode
 		} else if !m.compatibleWithHolders(key, w.txn, w.mode) {
 			return granted
 		}
-		m.hold(key, w.txn, w.mode)
+		m.hold(key, w.txn, mode)
 		m.queue[key] = m.queue[key][1:]
 		granted = append(granted, w.id)
 	}
