@@ -5,7 +5,7 @@
 //	benchrunner                                  # full suite
 //	benchrunner -quick                           # reduced sweep for a fast look
 //	benchrunner -run E3,E6                       # selected experiments
-//	benchrunner -json BENCH_2026-10-04.json      # the committed reference
+//	benchrunner -json BENCH_2026-10-15.json      # the committed reference
 //
 // The -json document carries, per experiment, the headline metrics plus one
 // record per harness run with throughput, abort rate, and commit-latency

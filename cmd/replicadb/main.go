@@ -126,9 +126,6 @@ func run() error {
 		if *proto != "atomic" {
 			return fmt.Errorf("-shards requires -proto atomic (got %q)", *proto)
 		}
-		if *member {
-			return fmt.Errorf("-shards does not combine with -membership (group placement is static)")
-		}
 		ecfg.Shard = &shard.Config{Groups: *shards, RF: *rf}
 		// Coordinator failover: suspected coordinators' orphaned prepares
 		// are terminated by the lowest live member of each prepared group.

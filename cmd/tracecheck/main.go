@@ -385,8 +385,9 @@ func (c *checker) checkCausalRounds() {
 
 // checkAtomicRounds verifies protocol A exchanges no acknowledgements or
 // votes, certifies every committed update at all n sites with agreeing
-// verdicts, and runs the expected ordering rounds (one sequencer ordering,
-// or n proposals and n finals under ISIS).
+// verdicts, and runs the expected ordering rounds (at least one leader
+// ordering under the sequencer and the batch orderer, or n proposals and n
+// finals under ISIS).
 func (c *checker) checkAtomicRounds() {
 	n := c.sites
 	for _, d := range c.dumps {
@@ -430,13 +431,9 @@ func (c *checker) checkAtomicRounds() {
 			if f := count(spans, trace.KindIsisFinal, trace.NoPeer); f != n {
 				c.failf("%v: %d ISIS finals (want %d, one per site)", id, f, n)
 			}
-		case "sequencer":
+		case "sequencer", "batch":
 			if o := count(spans, trace.KindSeqOrder, trace.NoPeer); o < 1 {
-				c.failf("%v: no sequencer ordering recorded", id)
-			}
-		case "batch":
-			if o := count(spans, trace.KindBatchOrder, trace.NoPeer); o < 1 {
-				c.failf("%v: no batch ordering recorded", id)
+				c.failf("%v: no leader ordering recorded", id)
 			}
 		}
 	}

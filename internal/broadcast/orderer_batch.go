@@ -8,29 +8,34 @@ import (
 	"repro/internal/trace"
 )
 
-// batchState implements the AtomicBatch total-order mode: a leader-based
-// orderer in the style of Ring Paxos that pipelines consensus instances and
-// orders whole batches of messages per instance.
+// batchMaxBytes seals an open batch early once its payload envelopes'
+// encoded size reaches it.
+const batchMaxBytes = 64 << 10
+
+// batchState is the leader orderer behind both leader-based total-order
+// modes, in the style of Ring Paxos: a leader that pipelines consensus
+// instances and orders whole batches of messages per instance. AtomicBatch
+// runs it with an accumulation window and a message budget; AtomicSequencer
+// runs it with a budget of one message, so every arrival seals its own
+// instance at once — which is exactly a fixed sequencer.
 //
 // Every atomic broadcast's payload already reaches every site directly (the
 // origin unicasts the envelope to all peers), so the leader — the lowest
-// member of the current view, the same identity rule as the fixed
-// sequencer — never needs the payloads forwarded to it. It accumulates the
-// unordered arrivals into an open batch, seals the batch when a window
-// timer fires or a message/byte budget is hit, assigns the batch one
+// member of the current view — never needs the payloads forwarded to it. It
+// accumulates the unordered arrivals into an open batch, seals the batch when
+// a window timer fires or a message/byte budget is hit, assigns the batch one
 // contiguous range of total-order indices, and announces the whole range in
-// a single BatchOrder message. Receivers record the entries through the
-// same idempotent recordOrder path as sequencer announcements and deliver
-// contiguously, so gap repair (Gap/Retransmit/SkipTo) and state transfer
-// work unchanged.
+// a single SeqOrder message. Receivers record the entries through the
+// idempotent recordOrder path and deliver contiguously, so gap repair
+// (Gap/Retransmit/SkipTo) and state transfer work unchanged.
 //
 // Instances pipeline naturally: the leader seals instance k+1 without
 // waiting for any acknowledgement of instance k — agreement comes from the
-// leader's uniqueness within the primary partition, exactly as in sequencer
-// mode. On a view change that elects a new leader, the new leader
-// immediately seals everything buffered-but-unordered (sorted by origin,
-// then sequence, for a deterministic handoff order) into a fresh instance
-// above the highest index it has heard of, mirroring ReassignUnordered.
+// leader's uniqueness within the primary partition. On a view change that
+// elects a new leader, the new leader immediately re-orders everything
+// buffered-but-unordered (sorted by origin, then sequence, for a
+// deterministic handoff order) above the highest index it has heard of,
+// sealing as the budgets dictate.
 type batchState struct {
 	s *Stack
 
@@ -42,9 +47,8 @@ type batchState struct {
 	timerSet bool
 	timer    env.TimerID
 
-	// instance counts the consensus instances this site has led, carried in
-	// announcements for diagnostics.
-	instance uint64
+	// next is the next total-order index this site assigns as leader.
+	next uint64
 }
 
 func newBatchState(s *Stack) *batchState {
@@ -59,15 +63,19 @@ func (bs *batchState) leader() bool { return bs.s.Sequencer() == bs.s.rt.ID() }
 func (bs *batchState) accept(b *message.Bcast) {
 	if bs.leader() {
 		bs.enqueue(pair{b.Origin, b.Seq})
+		if len(bs.open) > 0 && !bs.timerSet {
+			bs.timerSet = true
+			bs.timer = bs.s.rt.SetTimer(bs.s.cfg.BatchWindow, bs.onWindow)
+		}
 	}
-	// A non-leader may already hold the order (BatchOrder outran the
-	// payload); the leader's own seal also drains through here.
+	// A non-leader may already hold the order (the announcement outran the
+	// payload); a leader delivers what its seal ordered.
 	bs.s.drainAtomic()
 }
 
 // enqueue adds one unordered pair to the open batch and seals when a budget
-// trips; otherwise the window timer (armed on the first message of the
-// batch) will.
+// trips. The message budget is checked first, so a one-message budget never
+// encodes a payload just to measure it.
 func (bs *batchState) enqueue(p pair) {
 	if _, done := bs.s.aindexed[p]; done {
 		return // already ordered (e.g. retransmission or leader change)
@@ -77,15 +85,13 @@ func (bs *batchState) enqueue(p pair) {
 		return
 	}
 	bs.open = append(bs.open, p)
-	bs.wire = message.AppendMessage(bs.wire[:0], b)
-	bs.openBytes += len(bs.wire)
-	if len(bs.open) >= bs.s.cfg.BatchMaxMsgs || bs.openBytes >= bs.s.cfg.BatchMaxBytes {
+	if len(bs.open) >= bs.s.cfg.BatchMaxMsgs {
 		bs.seal()
 		return
 	}
-	if !bs.timerSet {
-		bs.timerSet = true
-		bs.timer = bs.s.rt.SetTimer(bs.s.cfg.BatchWindow, bs.onWindow)
+	bs.wire = message.AppendMessage(bs.wire[:0], b)
+	if bs.openBytes += len(bs.wire); bs.openBytes >= batchMaxBytes {
+		bs.seal()
 	}
 }
 
@@ -101,10 +107,12 @@ func (bs *batchState) onWindow() {
 	}
 	if len(bs.open) > 0 {
 		bs.seal()
+		bs.s.drainAtomic()
 	}
 }
 
 // seal closes the open batch: one contiguous index range, one announcement.
+// The caller drains.
 func (bs *batchState) seal() {
 	if bs.timerSet {
 		bs.s.rt.CancelTimer(bs.timer)
@@ -123,32 +131,27 @@ func (bs *batchState) seal() {
 		}
 		batch = append(batch, p)
 	}
-	bs.open = batch
 	if len(batch) == 0 {
 		bs.reset()
 		return
 	}
-	// The range starts above everything delivered or heard of, the same
-	// floor the fixed sequencer uses, so a new leader never reuses indices.
-	if s.seqNextIndex <= s.ahighSeen {
-		s.seqNextIndex = s.ahighSeen + 1
+	// The range starts above everything delivered or heard of, so a new
+	// leader never reuses indices.
+	if bs.next <= s.ahighSeen {
+		bs.next = s.ahighSeen + 1
 	}
-	if s.seqNextIndex < s.anext {
-		s.seqNextIndex = s.anext
+	if bs.next < s.anext {
+		bs.next = s.anext
 	}
-	bs.instance++
 	entries := make([]message.OrderEntry, 0, len(batch))
 	for _, p := range batch {
-		idx := s.seqNextIndex
-		s.seqNextIndex++
-		if b, ok := s.apayload[p]; ok {
-			s.cfg.Tracer.Point(b.Trace, trace.KindBatchOrder, idx, p.origin, int64(len(batch)))
-		}
-		e := message.OrderEntry{Origin: p.origin, Seq: p.seq, Index: idx}
+		e := message.OrderEntry{Origin: p.origin, Seq: p.seq, Index: bs.next}
+		bs.next++
+		s.cfg.Tracer.Point(s.apayload[p].Trace, trace.KindSeqOrder, e.Index, p.origin, 0)
 		s.recordOrder(e)
 		entries = append(entries, e)
 	}
-	ord := &message.BatchOrder{Leader: s.rt.ID(), Instance: bs.instance, Entries: entries}
+	ord := &message.SeqOrder{Sequencer: s.rt.ID(), Entries: entries}
 	for _, peer := range s.rt.Peers() {
 		if peer == s.rt.ID() {
 			continue
@@ -156,7 +159,6 @@ func (bs *batchState) seal() {
 		s.rt.Send(peer, ord)
 	}
 	bs.reset()
-	s.drainAtomic()
 }
 
 // reset clears the open batch accumulation.
@@ -165,17 +167,10 @@ func (bs *batchState) reset() {
 	bs.openBytes = 0
 }
 
-// handleOrder records an announced instance at a receiver.
-func (bs *batchState) handleOrder(bo *message.BatchOrder) {
-	for _, e := range bo.Entries {
-		bs.s.recordOrder(e)
-	}
-	bs.s.drainAtomic()
-}
-
 // onViewChange re-drives ordering after a membership change: a newly
-// elected leader takes over every buffered-but-unordered message in one
-// immediate handoff instance; a deposed leader drops its accumulation.
+// elected leader takes over every buffered-but-unordered message at once,
+// sealing every announcement before the one drain; a deposed leader drops
+// its accumulation.
 func (bs *batchState) onViewChange() {
 	if bs.timerSet {
 		bs.s.rt.CancelTimer(bs.timer)
@@ -197,10 +192,11 @@ func (bs *batchState) onViewChange() {
 		}
 		return pending[i].seq < pending[j].seq
 	})
-	if len(pending) == 0 {
-		bs.s.drainAtomic()
-		return
+	for _, p := range pending {
+		bs.enqueue(p)
 	}
-	bs.open = append(bs.open, pending...)
-	bs.seal()
+	if len(bs.open) > 0 {
+		bs.seal()
+	}
+	bs.s.drainAtomic()
 }

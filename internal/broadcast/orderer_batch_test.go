@@ -1,7 +1,7 @@
 package broadcast
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,18 +11,17 @@ import (
 )
 
 // makeBatchCluster is makeCluster with the batch orderer's knobs exposed.
-func makeBatchCluster(t *testing.T, n int, link sim.LinkModel, seed int64, window time.Duration, maxMsgs, maxBytes int) (*sim.Cluster, []*testNode) {
+func makeBatchCluster(t *testing.T, n int, link sim.LinkModel, seed int64, window time.Duration, maxMsgs int) (*sim.Cluster, []*testNode) {
 	t.Helper()
 	c := sim.NewCluster(n, link, seed)
 	nodes := make([]*testNode, n)
 	for i := 0; i < n; i++ {
 		node := &testNode{}
 		node.st = New(c.Runtime(message.SiteID(i)), Config{
-			Deliver:       func(d Delivery) { node.got = append(node.got, d) },
-			Atomic:        AtomicBatch,
-			BatchWindow:   window,
-			BatchMaxMsgs:  maxMsgs,
-			BatchMaxBytes: maxBytes,
+			Deliver:      func(d Delivery) { node.got = append(node.got, d) },
+			Atomic:       AtomicBatch,
+			BatchWindow:  window,
+			BatchMaxMsgs: maxMsgs,
 		})
 		nodes[i] = node
 		c.Bind(message.SiteID(i), node)
@@ -39,7 +38,7 @@ func TestAtomicBatchTotalOrder(t *testing.T) { totalOrderTest(t, AtomicBatch) }
 func TestBatchBudgetSeal(t *testing.T) {
 	const n, per = 3, 8 // 3 origins x 8 = 24 broadcasts, budget 4 -> 6 instances
 	c, nodes := makeBatchCluster(t, n, netsim.Fixed{Delay: time.Millisecond}, 29,
-		time.Hour /* window never fires */, 4, 1<<20)
+		time.Hour /* window never fires */, 4)
 	for s := 0; s < n; s++ {
 		s := s
 		for i := 1; i <= per; i++ {
@@ -61,12 +60,44 @@ func TestBatchBudgetSeal(t *testing.T) {
 	}
 }
 
+// TestBatchByteBudgetSeal checks the byte budget: with the window far
+// beyond the run and the message budget out of reach, only payloads adding up
+// to batchMaxBytes can seal. Seven 10 KB writes cross it and six do not, so
+// 21 broadcasts seal exactly three batches and every one delivers.
+func TestBatchByteBudgetSeal(t *testing.T) {
+	const n, per = 3, 7
+	c, nodes := makeBatchCluster(t, n, netsim.Fixed{Delay: time.Millisecond}, 37,
+		time.Hour /* window never fires */, 1<<20)
+	for s := 0; s < n; s++ {
+		s := s
+		for i := 1; i <= per; i++ {
+			i := i
+			c.Schedule(time.Duration(i)*time.Millisecond, func() {
+				w := payload(s, i)
+				w.Value = make(message.Value, 10000)
+				nodes[s].st.Broadcast(message.ClassAtomic, w)
+			})
+		}
+	}
+	if _, err := c.Run(time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for si, node := range nodes {
+		if len(node.got) != n*per {
+			t.Fatalf("site %d delivered %d, want %d (byte budget did not seal)", si, len(node.got), n*per)
+		}
+	}
+	if got := len(nodes[1].announcedBy(0)); got != 3 {
+		t.Fatalf("leader sealed %d batches, want 3", got)
+	}
+}
+
 // TestBatchWindowSeal checks the complementary path: a batch smaller than
 // any budget seals when the accumulation window expires.
 func TestBatchWindowSeal(t *testing.T) {
 	const window = 10 * time.Millisecond
 	c, nodes := makeBatchCluster(t, 3, netsim.Fixed{Delay: time.Millisecond}, 31,
-		window, 1<<20, 1<<30)
+		window, 1<<20)
 	c.Schedule(0, func() { nodes[1].st.Broadcast(message.ClassAtomic, payload(1, 1)) })
 	// Well before the window could have expired at the leader, nothing may
 	// be delivered anywhere.
@@ -86,11 +117,13 @@ func TestBatchWindowSeal(t *testing.T) {
 }
 
 // TestBatchLeaderFailover crashes the leader mid-stream; after the member
-// set shrinks, the new leader must flush everything buffered-but-unordered
-// in a handoff instance and the survivors must converge on one order.
+// set shrinks, the new leader must order everything buffered-but-unordered
+// in an immediate handoff and the survivors must converge on one order.
+// The handoff respects the message budget: five orphans under a budget of
+// two seal three announcements.
 func TestBatchLeaderFailover(t *testing.T) {
 	const n = 4
-	c, nodes := makeCluster(t, n, netsim.Fixed{Delay: 2 * time.Millisecond}, AtomicBatch, false, 23)
+	c, nodes := makeBatchCluster(t, n, netsim.Fixed{Delay: 2 * time.Millisecond}, 23, time.Millisecond, 2)
 	members := []message.SiteID{0, 1, 2, 3}
 	for _, node := range nodes {
 		node.st.cfg.Members = func() []message.SiteID { return members }
@@ -98,9 +131,14 @@ func TestBatchLeaderFailover(t *testing.T) {
 	c.Schedule(0, func() { nodes[1].st.Broadcast(message.ClassAtomic, payload(1, 1)) })
 	c.Schedule(10*time.Millisecond, func() { c.Crash(0) })
 	c.Schedule(12*time.Millisecond, func() {
-		// Broadcast while the dead leader is still in the view: stays
+		// Broadcasts while the dead leader is still in the view: they stay
 		// pending at the survivors until the view changes.
-		nodes[2].st.Broadcast(message.ClassAtomic, payload(2, 1))
+		for i := 1; i <= 3; i++ {
+			nodes[3].st.Broadcast(message.ClassAtomic, payload(3, i))
+		}
+		for i := 1; i <= 2; i++ {
+			nodes[2].st.Broadcast(message.ClassAtomic, payload(2, i))
+		}
 	})
 	c.Schedule(30*time.Millisecond, func() {
 		members = []message.SiteID{1, 2, 3}
@@ -109,23 +147,21 @@ func TestBatchLeaderFailover(t *testing.T) {
 		}
 	})
 	runIdle(t, c)
-	var ref []string
-	for si := 1; si < n; si++ {
-		node := nodes[si]
-		if len(node.got) != 2 {
-			t.Fatalf("site %d delivered %d, want 2", si, len(node.got))
+	ref := nodes[1].deliveredOrder()
+	if len(ref) != 6 {
+		t.Fatalf("site 1 delivered %v, want 6 messages", ref)
+	}
+	for si := 2; si < n; si++ {
+		if got := nodes[si].deliveredOrder(); !slices.Equal(got, ref) {
+			t.Fatalf("site %d diverges: %v vs %v", si, got, ref)
 		}
-		var seqn []string
-		for _, d := range node.got {
-			seqn = append(seqn, fmt.Sprintf("%v/%d", d.Origin, d.Seq))
+		handoff := nodes[si].announcedBy(1)
+		if len(handoff) != 3 {
+			t.Fatalf("site %d got %d handoff announcements from the new leader, want 3", si, len(handoff))
 		}
-		if si == 1 {
-			ref = seqn
-			continue
-		}
-		for i := range ref {
-			if seqn[i] != ref[i] {
-				t.Fatalf("site %d diverges: %v vs %v", si, seqn, ref)
+		for _, ord := range handoff {
+			if len(ord.Entries) > 2 {
+				t.Fatalf("site %d got a handoff announcement with %d entries over a budget of 2", si, len(ord.Entries))
 			}
 		}
 	}
@@ -160,10 +196,7 @@ func TestAtomicOrderDeterminism(t *testing.T) {
 			if len(node.got) != n*per {
 				t.Fatalf("mode=%d seed=%d site %d delivered %d, want %d", mode, seed, si, len(node.got), n*per)
 			}
-			var seqn []string
-			for _, d := range node.got {
-				seqn = append(seqn, fmt.Sprintf("%v/%d", d.Origin, d.Seq))
-			}
+			seqn := node.deliveredOrder()
 			if si == 0 {
 				ref = seqn
 				continue

@@ -9,10 +9,10 @@
 //     vector clocks are exposed to the application (the causal replication
 //     protocol mines them for implicit acknowledgements),
 //   - atomic (total-order) broadcast — all sites deliver in one global
-//     order; three interchangeable implementations are provided, a
-//     fixed-sequencer protocol, an ISIS-style agreed-timestamp protocol,
-//     and a pipelined batching orderer that amortizes ordering traffic
-//     across whole batches of messages (orderer_batch.go).
+//     order; two implementations are provided, an ISIS-style
+//     agreed-timestamp protocol and a leader orderer that pipelines
+//     batches of messages (orderer_batch.go). The fixed sequencer is the
+//     leader orderer with a one-message budget.
 //
 // The stack is a deterministic state machine: it never blocks, never spawns
 // goroutines, and produces deliveries through a callback.
@@ -48,7 +48,8 @@ type AtomicMode int
 // The available atomic broadcast implementations.
 const (
 	// AtomicSequencer routes ordering through a fixed sequencer (the lowest
-	// site in the current view): one extra message hop per broadcast.
+	// site in the current view): one extra message hop per broadcast. It is
+	// the AtomicBatch orderer with a budget of one message per batch.
 	AtomicSequencer AtomicMode = iota + 1
 	// AtomicIsis uses the ISIS agreed-timestamp protocol: every receiver
 	// proposes a Lamport timestamp, the origin fixes the maximum.
@@ -57,7 +58,7 @@ const (
 	// current view, like the fixed sequencer) that pipelines consensus
 	// instances: instead of announcing one index per message it accumulates
 	// arrivals for a configurable window / size budget and assigns each
-	// batch one contiguous index range in a single BatchOrder announcement,
+	// batch one contiguous index range in a single SeqOrder announcement,
 	// amortizing ordering traffic across the batch (see orderer_batch.go).
 	AtomicBatch
 )
@@ -85,16 +86,14 @@ type Config struct {
 	// batch before sealing it (AtomicBatch only). Defaults to 1ms.
 	BatchWindow time.Duration
 	// BatchMaxMsgs seals an open batch early once it holds this many
-	// messages (AtomicBatch only). Defaults to 64.
+	// messages (AtomicBatch only; AtomicSequencer fixes it at 1). Defaults
+	// to 64.
 	BatchMaxMsgs int
 	// HistoryRetention caps the delivered-atomic-broadcast retransmission
 	// history (Stack.HistoryRetention); 0 keeps the 8192 default. Small
 	// values force retention misses onto the state-transfer path, which
 	// the checkpoint/rejoin experiments exercise deliberately.
 	HistoryRetention int
-	// BatchMaxBytes seals an open batch early once its payloads exceed
-	// this budget (AtomicBatch only). Defaults to 64KiB.
-	BatchMaxBytes int
 }
 
 // Stack is one site's broadcast endpoint.
@@ -120,13 +119,10 @@ type Stack struct {
 	// Atomic, shared: buffered payloads and the assigned global order.
 	apayload  map[pair]*message.Bcast
 	aorder    map[uint64]pair // index -> message
-	aindexed  map[pair]uint64 // message -> index (sequencer mode)
+	aindexed  map[pair]uint64 // message -> index (leader modes)
 	anext     uint64          // next index to deliver
-	ahighSeen uint64          // highest index heard of (for sequencer failover)
+	ahighSeen uint64          // highest index heard of (for leader failover)
 
-	// Atomic, sequencer mode: indices this site has assigned when acting as
-	// the sequencer.
-	seqNextIndex uint64
 	// history retains recently delivered atomic broadcasts by index so any
 	// site can serve retransmissions to a resynchronizing peer.
 	history     map[uint64]*message.Bcast
@@ -136,7 +132,7 @@ type Stack struct {
 	// Atomic, ISIS mode.
 	isis *isisState
 
-	// Atomic, batch mode.
+	// Atomic, sequencer and batch modes.
 	batch *batchState
 
 	// Deliveries counts per-class deliveries, a cheap local metric.
@@ -185,8 +181,8 @@ func New(rt env.Runtime, cfg Config) *Stack {
 	if cfg.BatchMaxMsgs <= 0 {
 		cfg.BatchMaxMsgs = 64
 	}
-	if cfg.BatchMaxBytes <= 0 {
-		cfg.BatchMaxBytes = 64 << 10
+	if cfg.Atomic == AtomicSequencer {
+		cfg.BatchMaxMsgs = 1
 	}
 	n := len(rt.Peers())
 	s := &Stack{
@@ -278,8 +274,6 @@ func (s *Stack) Handle(from message.SiteID, m message.Message) {
 		s.handleBcast(from, t)
 	case *message.SeqOrder:
 		s.handleSeqOrder(t)
-	case *message.BatchOrder:
-		s.batch.handleOrder(t)
 	case *message.IsisPropose:
 		s.isis.handlePropose(t)
 	case *message.IsisFinal:
@@ -292,7 +286,7 @@ func (s *Stack) Handle(from message.SiteID, m message.Message) {
 // Handles reports whether the stack is responsible for m.
 func Handles(m message.Message) bool {
 	switch m.Kind() {
-	case message.KindBcast, message.KindSeqOrder, message.KindBatchOrder, message.KindIsisPropose, message.KindIsisFinal:
+	case message.KindBcast, message.KindSeqOrder, message.KindIsisPropose, message.KindIsisFinal:
 		return true
 	default:
 		return false
@@ -451,41 +445,10 @@ func (s *Stack) acceptAtomic(b *message.Bcast) {
 		return
 	}
 	s.apayload[p] = b
-	switch s.cfg.Atomic {
-	case AtomicIsis:
+	if s.cfg.Atomic == AtomicIsis {
 		s.isis.accept(b)
-	case AtomicBatch:
+	} else {
 		s.batch.accept(b)
-	default:
-		if s.Sequencer() == s.rt.ID() {
-			s.assignIndex(p)
-		}
-		s.drainAtomic()
-	}
-}
-
-func (s *Stack) assignIndex(p pair) {
-	if _, done := s.aindexed[p]; done {
-		return
-	}
-	if s.seqNextIndex <= s.ahighSeen {
-		s.seqNextIndex = s.ahighSeen + 1
-	}
-	if s.seqNextIndex < s.anext {
-		s.seqNextIndex = s.anext
-	}
-	idx := s.seqNextIndex
-	s.seqNextIndex++
-	if b, ok := s.apayload[p]; ok {
-		s.cfg.Tracer.Point(b.Trace, trace.KindSeqOrder, idx, p.origin, 0)
-	}
-	s.recordOrder(message.OrderEntry{Origin: p.origin, Seq: p.seq, Index: idx})
-	ord := &message.SeqOrder{Sequencer: s.rt.ID(), Entries: []message.OrderEntry{{Origin: p.origin, Seq: p.seq, Index: idx}}}
-	for _, peer := range s.rt.Peers() {
-		if peer == s.rt.ID() {
-			continue
-		}
-		s.rt.Send(peer, ord)
 	}
 }
 
@@ -618,43 +581,14 @@ func (s *Stack) Retransmit(to message.SiteID, from uint64) int {
 	return n
 }
 
-// ReassignUnordered makes this site, as a newly elected sequencer, assign
-// indices to every buffered-but-unordered atomic message. The membership
-// layer calls it after a view change removes the previous sequencer.
-func (s *Stack) ReassignUnordered() {
-	if s.cfg.Atomic != AtomicSequencer || s.Sequencer() != s.rt.ID() {
-		return
-	}
-	pending := make([]pair, 0, len(s.apayload))
-	for p := range s.apayload {
-		if _, done := s.aindexed[p]; !done {
-			pending = append(pending, p)
-		}
-	}
-	sort.Slice(pending, func(i, j int) bool {
-		if pending[i].origin != pending[j].origin {
-			return pending[i].origin < pending[j].origin
-		}
-		return pending[i].seq < pending[j].seq
-	})
-	for _, p := range pending {
-		s.assignIndex(p)
-	}
-	s.drainAtomic()
-}
-
-// OnViewChange re-drives ordering after a membership change: in sequencer
-// mode a newly elected sequencer assigns the orphaned messages, in ISIS
-// mode in-flight finalizations are re-checked against the shrunken member
-// set.
+// OnViewChange re-drives ordering after a membership change: a newly
+// elected leader orders the orphaned messages, and in ISIS mode in-flight
+// finalizations are re-checked against the shrunken member set.
 func (s *Stack) OnViewChange() {
-	switch s.cfg.Atomic {
-	case AtomicIsis:
+	if s.cfg.Atomic == AtomicIsis {
 		s.isis.Recheck()
-	case AtomicBatch:
+	} else {
 		s.batch.onViewChange()
-	default:
-		s.ReassignUnordered()
 	}
 }
 

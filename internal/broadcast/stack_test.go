@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,16 +12,47 @@ import (
 	"repro/internal/sim"
 )
 
-// testNode wires a Stack into the simulator and records deliveries.
+// testNode wires a Stack into the simulator and records deliveries and
+// the order announcements it receives.
 type testNode struct {
-	st  *Stack
-	got []Delivery
+	st     *Stack
+	got    []Delivery
+	orders []announcement
+}
+
+// announcement is one SeqOrder received, with its sender.
+type announcement struct {
+	from message.SiteID
+	ord  *message.SeqOrder
 }
 
 func (n *testNode) Start() {}
 
 func (n *testNode) Receive(from message.SiteID, m message.Message) {
+	if ord, ok := m.(*message.SeqOrder); ok {
+		n.orders = append(n.orders, announcement{from, ord})
+	}
 	n.st.Handle(from, m)
+}
+
+// deliveredOrder lists a node's deliveries as origin/seq strings.
+func (n *testNode) deliveredOrder() []string {
+	var out []string
+	for _, d := range n.got {
+		out = append(out, fmt.Sprintf("%v/%d", d.Origin, d.Seq))
+	}
+	return out
+}
+
+// announcedBy returns the SeqOrders node received from sender.
+func (n *testNode) announcedBy(sender message.SiteID) []*message.SeqOrder {
+	var out []*message.SeqOrder
+	for _, a := range n.orders {
+		if a.from == sender {
+			out = append(out, a.ord)
+		}
+	}
+	return out
 }
 
 var _ env.Node = (*testNode)(nil)
@@ -282,8 +314,11 @@ func TestAtomicLocalDeliveryWaitsForOrder(t *testing.T) {
 }
 
 // TestSequencerFailover crashes the sequencer mid-stream; after the member
-// set shrinks and the new sequencer reassigns, the survivors must converge
-// on a single order for the surviving messages.
+// set shrinks and the new sequencer takes over, the survivors must converge
+// on a single order for the surviving messages. The sequencer is the leader
+// orderer with a one-message budget, so every announcement carries exactly
+// one entry — the handoff's too, which announces the orphans one by one in
+// (origin, seq) order whatever order they arrived in.
 func TestSequencerFailover(t *testing.T) {
 	const n = 4
 	c, nodes := makeCluster(t, n, netsim.Fixed{Delay: 2 * time.Millisecond}, AtomicSequencer, false, 23)
@@ -294,9 +329,11 @@ func TestSequencerFailover(t *testing.T) {
 	c.Schedule(0, func() { nodes[1].st.Broadcast(message.ClassAtomic, payload(1, 1)) })
 	c.Schedule(10*time.Millisecond, func() { c.Crash(0) })
 	c.Schedule(12*time.Millisecond, func() {
-		// A broadcast while the dead sequencer is still in the view: stays
-		// pending at the survivors.
+		// Broadcasts while the dead sequencer is still in the view: they
+		// stay pending at the survivors.
+		nodes[3].st.Broadcast(message.ClassAtomic, payload(3, 1))
 		nodes[2].st.Broadcast(message.ClassAtomic, payload(2, 1))
+		nodes[2].st.Broadcast(message.ClassAtomic, payload(2, 2))
 	})
 	c.Schedule(30*time.Millisecond, func() {
 		members = []message.SiteID{1, 2, 3}
@@ -305,24 +342,22 @@ func TestSequencerFailover(t *testing.T) {
 		}
 	})
 	runIdle(t, c)
-	var ref []string
+	want := []string{"s1/1", "s2/1", "s2/2", "s3/1"}
 	for si := 1; si < n; si++ {
 		node := nodes[si]
-		if len(node.got) != 2 {
-			t.Fatalf("site %d delivered %d, want 2", si, len(node.got))
+		if got := node.deliveredOrder(); !slices.Equal(got, want) {
+			t.Fatalf("site %d delivered %v, want %v", si, got, want)
 		}
-		var seqn []string
-		for _, d := range node.got {
-			seqn = append(seqn, fmt.Sprintf("%v/%d", d.Origin, d.Seq))
+		for _, a := range node.orders {
+			if len(a.ord.Entries) != 1 {
+				t.Fatalf("site %d got a SeqOrder from %v with %d entries, want 1", si, a.from, len(a.ord.Entries))
+			}
 		}
 		if si == 1 {
-			ref = seqn
-			continue
+			continue // the new sequencer announces to the others
 		}
-		for i := range ref {
-			if seqn[i] != ref[i] {
-				t.Fatalf("site %d diverges: %v vs %v", si, seqn, ref)
-			}
+		if got := len(node.announcedBy(1)); got != 3 {
+			t.Fatalf("site %d got %d handoff announcements from the new sequencer, want 3", si, got)
 		}
 	}
 }

@@ -159,13 +159,12 @@ type Config struct {
 	// AtomicMode selects the total-order broadcast implementation
 	// (protocol A only). Defaults to the fixed sequencer.
 	AtomicMode broadcast.AtomicMode
-	// AtomicBatchWindow, AtomicBatchMsgs, and AtomicBatchBytes tune the
-	// batching orderer (AtomicMode == broadcast.AtomicBatch): how long the
-	// leader holds an open batch and the message/byte budgets that seal it
-	// early. Zero values take the broadcast package defaults.
+	// AtomicBatchWindow and AtomicBatchMsgs tune the batching orderer
+	// (AtomicMode == broadcast.AtomicBatch): how long the leader holds an
+	// open batch and the message budget that seals it early. Zero values
+	// take the broadcast package defaults.
 	AtomicBatchWindow time.Duration
 	AtomicBatchMsgs   int
-	AtomicBatchBytes  int
 	// PiggybackWrites makes protocol A carry write values inside the
 	// certification request instead of disseminating them causally.
 	PiggybackWrites bool

@@ -101,7 +101,6 @@ func (g *replicaGroup) open(deliver func(broadcast.Delivery), pol checkpoint.Pol
 		Tracer:           g.cfg.Tracer,
 		BatchWindow:      g.cfg.AtomicBatchWindow,
 		BatchMaxMsgs:     g.cfg.AtomicBatchMsgs,
-		BatchMaxBytes:    g.cfg.AtomicBatchBytes,
 		HistoryRetention: g.cfg.HistoryRetention,
 	})
 	if g.certIndex = g.store.Applied(); g.certIndex > 0 {

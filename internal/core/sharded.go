@@ -91,10 +91,15 @@ type shardGroup struct {
 
 var _ Engine = (*ShardedEngine)(nil)
 
-// NewSharded creates a partially replicated protocol A engine on rt.
+// NewSharded creates a partially replicated protocol A engine on rt. It
+// refuses Config.Membership: group placement is static, and coordinator
+// failover runs on the bare detector Config.FailureInterval enables.
 func NewSharded(rt env.Runtime, cfg Config) (*ShardedEngine, error) {
 	if cfg.Shard == nil {
 		return nil, errors.New("core: NewSharded requires Config.Shard")
+	}
+	if cfg.Membership {
+		return nil, errors.New("core: partial replication does not combine with membership views (Config.Membership): group placement is static")
 	}
 	ring, err := shard.NewRing(*cfg.Shard, len(rt.Peers()))
 	if err != nil {

@@ -78,6 +78,26 @@ func (tc *testCluster) checkGroupConvergence() {
 	}
 }
 
+// TestNewShardedRejectsConfig: configurations the sharded engine cannot
+// honour fail at construction instead of being ignored.
+func TestNewShardedRejectsConfig(t *testing.T) {
+	withMembership := shardedCfg(2, 2)
+	withMembership.Membership = true
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"no shard config", Config{}},
+		{"more groups than sites", shardedCfg(5, 1)},
+		{"membership views", withMembership},
+	} {
+		c := sim.NewCluster(4, netsim.Fixed{Delay: time.Millisecond}, 1)
+		if e, err := NewSharded(c.Runtime(0), tc.cfg); err == nil {
+			t.Errorf("%s: NewSharded built %T, want an error", tc.name, e)
+		}
+	}
+}
+
 // TestShardedSingleGroupCommit: each group commits independently; writes
 // replicate to the group's members only.
 func TestShardedSingleGroupCommit(t *testing.T) {

@@ -766,11 +766,6 @@ func (e *encoder) message(m Message) {
 		e.site(t.From)
 		e.stackSync(t.Stack)
 		e.pending(t.Pending)
-	case *BatchOrder:
-		e.byte(byte(KindBatchOrder))
-		e.site(t.Leader)
-		e.uint(t.Instance)
-		e.orderEntries(t.Entries)
 	case *SnapshotChunk:
 		e.byte(byte(KindSnapshotChunk))
 		e.site(t.From)
@@ -927,8 +922,6 @@ func (d *decoder) body(kind Kind) Message {
 		return &QRelease{Txn: d.txn()}
 	case KindSyncState:
 		return &SyncState{From: d.site(), Stack: d.stackSync(), Pending: d.pending()}
-	case KindBatchOrder:
-		return &BatchOrder{Leader: d.site(), Instance: d.uint(), Entries: d.orderEntries()}
 	case KindSnapshotChunk:
 		return &SnapshotChunk{
 			From: d.site(), Applied: d.uint(), Since: d.uint(), Seq: d.intField(), Last: d.bool(),

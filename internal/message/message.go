@@ -58,8 +58,7 @@ const (
 	// stable).
 	KindSyncState
 
-	// Batch orderer (appended so existing kind values are stable).
-	KindBatchOrder
+	_ // 34: the retired BatchOrder (the batch orderer announces in SeqOrder); reserved so later kinds keep their wire values
 
 	// Chunked state transfer (appended so existing kind values are stable).
 	KindSnapshotChunk
@@ -111,7 +110,6 @@ var kindNames = map[Kind]string{
 	KindQCommit:       "QCommit",
 	KindQRelease:      "QRelease",
 	KindSyncState:     "SyncState",
-	KindBatchOrder:    "BatchOrder",
 	KindSnapshotChunk: "SnapshotChunk",
 	KindGroupMsg:      "GroupMsg",
 	KindShardPrepare:  "ShardPrepare",
@@ -191,7 +189,9 @@ type OrderEntry struct {
 	Index  uint64
 }
 
-// SeqOrder announces total-order indices assigned by the sequencer.
+// SeqOrder announces total-order indices assigned by the ordering leader:
+// one entry per message from the fixed sequencer, one contiguous range per
+// sealed batch from the batch orderer.
 type SeqOrder struct {
 	Sequencer SiteID
 	Entries   []OrderEntry
@@ -199,21 +199,6 @@ type SeqOrder struct {
 
 // Kind implements Message.
 func (*SeqOrder) Kind() Kind { return KindSeqOrder }
-
-// BatchOrder announces one consensus instance of the batching orderer: a
-// contiguous range of total-order indices assigned by the current leader to
-// a whole batch of atomic broadcasts at once. Entries carry explicit
-// indices (not just a first index and a count) so receivers record them
-// through the same idempotent path as single SeqOrder announcements and
-// instances from a deposed leader merge safely.
-type BatchOrder struct {
-	Leader   SiteID
-	Instance uint64 // leader-local consensus instance number, for diagnostics
-	Entries  []OrderEntry
-}
-
-// Kind implements Message.
-func (*BatchOrder) Kind() Kind { return KindBatchOrder }
 
 // IsisPropose carries a receiver's proposed timestamp for an atomic
 // broadcast in the ISIS-style agreed-timestamp variant.
@@ -842,7 +827,6 @@ func RegisterGob() {
 	gob.Register(&QCommit{})
 	gob.Register(&QRelease{})
 	gob.Register(&SyncState{})
-	gob.Register(&BatchOrder{})
 	gob.Register(&SnapshotChunk{})
 	gob.Register(&GroupMsg{})
 	gob.Register(&ShardPrepare{})

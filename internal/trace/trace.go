@@ -57,8 +57,9 @@ const (
 	// KindCausalHold measures how long a causal broadcast was held for a
 	// vector-clock predecessor. Peer is the origin, Seq the origin sequence.
 	KindCausalHold
-	// KindSeqOrder marks the sequencer assigning a total-order index to an
-	// atomic broadcast. Seq is the assigned index.
+	// KindSeqOrder marks the ordering leader (the fixed sequencer or the
+	// batch orderer's leader) assigning a total-order index to an atomic
+	// broadcast. Seq is the assigned index, Peer the broadcast origin.
 	KindSeqOrder
 	// KindIsisPropose marks this site proposing a timestamp for an atomic
 	// broadcast in the ISIS variant. Seq is the proposed timestamp, Peer
@@ -108,12 +109,6 @@ const (
 	// KindNetRecv marks the TCP transport decoding a message from a peer.
 	// Extra is the message.Kind.
 	KindNetRecv
-	// KindBatchOrder marks the batching orderer's leader assigning a
-	// total-order index to an atomic broadcast as part of a sealed batch.
-	// Seq is the assigned index, Peer the broadcast origin, Extra the batch
-	// size (number of messages sharing the consensus instance).
-	KindBatchOrder
-
 	// KindCheckpoint is an interval spanning one durable checkpoint:
 	// group-commit barrier through WAL truncation. Non-transactional
 	// (zero trace ID); Seq is the checkpointed applied index, Extra the
@@ -165,7 +160,6 @@ var kindNames = [numKinds]string{
 	KindLockGrant:     "lock-grant",
 	KindNetSend:       "net-send",
 	KindNetRecv:       "net-recv",
-	KindBatchOrder:    "batch-order",
 	KindCheckpoint:    "checkpoint",
 	KindShardCoord:    "shard-coord",
 	KindShardCert:     "shard-cert",
