@@ -143,15 +143,14 @@ func (bs *batchState) seal() {
 	if bs.next < s.anext {
 		bs.next = s.anext
 	}
-	entries := make([]message.OrderEntry, 0, len(batch))
+	ord := message.NewSeqOrder(s.rt.ID(), len(batch))
 	for _, p := range batch {
 		e := message.OrderEntry{Origin: p.origin, Seq: p.seq, Index: bs.next}
 		bs.next++
 		s.cfg.Tracer.Point(s.apayload[p].Trace, trace.KindSeqOrder, e.Index, p.origin, 0)
 		s.recordOrder(e)
-		entries = append(entries, e)
+		ord.Entries = append(ord.Entries, e)
 	}
-	ord := &message.SeqOrder{Sequencer: s.rt.ID(), Entries: entries}
 	for _, peer := range s.rt.Peers() {
 		if peer == s.rt.ID() {
 			continue

@@ -44,7 +44,7 @@ func (o *handOffloader) Offload(work, done func()) bool {
 	return true
 }
 
-// TestSubmitAllocs pins the whole grouped Submit path: certification bookkeeping, staging, the store install, the WAL
+// TestSubmitAllocs pins the whole grouped Submit path: record-count bookkeeping, staging, the store install, the WAL
 // append, queueing the acknowledgement, and the flush itself — detach,
 // write+sync, completion, acknowledgements — add no allocation to what the
 // store's own install costs. The reference is a twin store driven through
@@ -88,26 +88,5 @@ func TestSubmitAllocs(t *testing.T) {
 	}
 	if acks == 0 || offloaded.Pending() > 2*perFlush || offloaded.Flushes == 0 {
 		t.Fatalf("the measured path did not flush: acks=%d pending=%d flushes=%d", acks, offloaded.Pending(), offloaded.Flushes)
-	}
-}
-
-// TestDedupWritesFastPath: a duplicate-free write set passes through
-// unchanged (no copy), while a rewritten key takes the slow path and
-// keeps each key's final write.
-func TestDedupWritesFastPath(t *testing.T) {
-	w := []message.KV{kv("a", "1"), kv("b", "2")}
-	if got := dedupWrites(w); len(got) != 2 || &got[0] != &w[0] {
-		t.Fatalf("fast path copied: got %v", got)
-	}
-	d := []message.KV{kv("a", "1"), kv("b", "2"), kv("a", "3")}
-	got := dedupWrites(d)
-	want := []message.KV{kv("b", "2"), kv("a", "3")}
-	if len(got) != len(want) {
-		t.Fatalf("slow path: got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i].Key != want[i].Key || string(got[i].Value) != string(want[i].Value) {
-			t.Fatalf("slow path: got %v, want %v", got, want)
-		}
 	}
 }

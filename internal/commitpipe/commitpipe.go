@@ -1,6 +1,6 @@
 // Package commitpipe implements the commit tail shared by every
-// replication engine: certify → WAL group-commit → versioned apply →
-// client acknowledgement. The paper's three protocols (and the two
+// replication engine: WAL group-commit → versioned apply → client
+// acknowledgement. The paper's three protocols (and the two
 // point-to-point baselines) differ only in how a transaction *reaches* the
 // commit decision — reliable-broadcast votes, implicit causal
 // acknowledgements, a deterministic certification of the total order,
@@ -106,19 +106,16 @@ type Entry struct {
 
 // Txn is a protocol adapter: one decided transaction submitted to the
 // pipeline. Callbacks are optional and run on the event loop, in order:
-// Certify (decide), Certified (post-certification protocol state, e.g.
-// protocol A's lastCommit map), Applied (after the store install — release
-// locks, drop replica records), Ack (the client-facing outcome; deferred to
-// the batch fsync for committed transactions under group commit).
+// Applied (after the store install — release locks, drop replica records),
+// Ack (the client-facing outcome; deferred to the batch fsync for committed
+// transactions under group commit).
 type Txn struct {
 	ID      message.TxnID
 	Entries []Entry
-	// Certify decides the transaction; nil means pre-certified (the
-	// protocol already decided commit). A false return aborts: no entry
-	// installs and Ack(false) fires immediately.
-	Certify func() bool
-	// Certified runs after a successful Certify, before the install.
-	Certified func()
+	// Aborted marks a transaction its protocol decided to abort (protocol
+	// A's certification failure): no entry installs, Applied does not run
+	// and Ack(false) fires at once.
+	Aborted bool
 	// Applied runs after the store install (and after trace/recorder
 	// bookkeeping), whatever the WAL state: locks release here so waiting
 	// readers observe the installed versions.
@@ -171,14 +168,7 @@ type Pipeline struct {
 	Flushes int64
 
 	batch   []storage.BatchEntry // scratch reused across submissions
-	scratch []txnState           // per-txn state of the SubmitGroup calls on the stack
-}
-
-// txnState is what SubmitGroup remembers about one transaction between its
-// certification and its acknowledgement.
-type txnState struct {
-	certified bool
-	nrecs     int // batch records the txn contributed
+	scratch []int                // per-txn record counts of the SubmitGroup calls on the stack
 }
 
 // syncResult is the syncer's report on one batch.
@@ -213,21 +203,20 @@ func (p *Pipeline) Submit(t Txn) {
 }
 
 // SubmitGroup runs a group of decided transactions through the pipeline
-// under one store traversal: each transaction certifies in order (protocol
-// A's certification of a later transaction observes an earlier one's
-// Certified state), then every certified entry installs with a single
-// Store.ApplyBatch, then per-transaction bookkeeping and acknowledgements
-// follow.
+// under one store traversal: every entry of a transaction not Aborted
+// installs with a single Store.ApplyBatch, then per-transaction bookkeeping
+// and acknowledgements follow, in group order. The caller must leave txns
+// alone until the call returns, even from inside a callback.
 //
 // A callback may re-enter the pipeline with a new submission (an Ack that
 // commits the client's next transaction, an Applied that releases the lock
-// a waiting one needed), so the per-transaction state lives in a segment of
-// p.scratch that this call pushes and pops like a stack frame, and is
-// always reached through p.scratch: a nested call may have moved it.
+// a waiting one needed), so the per-transaction record counts live in a
+// segment of p.scratch that this call pushes and pops like a stack frame,
+// and are always reached through p.scratch: a nested call may have moved it.
 func (p *Pipeline) SubmitGroup(txns []Txn) {
 	base := len(p.scratch)
 	for range txns {
-		p.scratch = append(p.scratch, txnState{})
+		p.scratch = append(p.scratch, 0)
 	}
 	p.submitGroup(txns, base)
 	p.scratch = p.scratch[:base]
@@ -236,14 +225,9 @@ func (p *Pipeline) SubmitGroup(txns []Txn) {
 func (p *Pipeline) submitGroup(txns []Txn, base int) {
 	p.batch = p.batch[:0]
 	for i := range txns {
-		t := &txns[i]
-		if t.Certify != nil && !t.Certify() {
-			continue
+		if t := &txns[i]; !t.Aborted {
+			p.scratch[base+i] = p.enqueue(t)
 		}
-		if t.Certified != nil {
-			t.Certified()
-		}
-		p.scratch[base+i] = txnState{certified: true, nrecs: p.enqueue(t)}
 	}
 	recs := len(p.batch)
 	rejected := false
@@ -260,14 +244,13 @@ func (p *Pipeline) submitGroup(txns []Txn, base int) {
 	}
 	for i := range txns {
 		t := &txns[i]
-		st := p.scratch[base+i]
-		if !st.certified {
+		if t.Aborted {
 			if t.Ack != nil {
 				t.Ack(false)
 			}
 			continue
 		}
-		if !(rejected && st.nrecs > 0) {
+		if !(rejected && p.scratch[base+i] > 0) {
 			p.bookkeep(t)
 		}
 		// Applied runs even for a failed install: it releases locks and
@@ -284,14 +267,13 @@ func (p *Pipeline) submitGroup(txns []Txn, base int) {
 	}
 	for i := range txns {
 		t := &txns[i]
-		st := p.scratch[base+i]
-		if !st.certified || t.Ack == nil {
+		if t.Aborted || t.Ack == nil {
 			continue
 		}
-		switch {
-		case rejected && st.nrecs > 0:
+		switch nrecs := p.scratch[base+i]; {
+		case rejected && nrecs > 0:
 			t.Ack(false)
-		case !p.grouped || st.nrecs == 0:
+		case !p.grouped || nrecs == 0:
 			// Nothing of this txn awaits an fsync; queueing it would not
 			// advance the batch toward a flush, and on a quiescent site the
 			// ack could wait forever.
@@ -305,7 +287,7 @@ func (p *Pipeline) submitGroup(txns []Txn, base int) {
 	}
 }
 
-// enqueue assigns commit indexes to one certified transaction's entries
+// enqueue assigns commit indexes to one committing transaction's entries
 // and stages its non-empty write records into the reusable batch scratch,
 // returning how many records it contributed. This runs once per decided
 // transaction on the event loop — the commit hot path — and must stay
@@ -327,7 +309,7 @@ func (p *Pipeline) enqueue(t *Txn) int {
 			continue
 		}
 		p.batch = append(p.batch, storage.BatchEntry{
-			Txn: t.ID, Writes: dedupWrites(e.Writes), Index: e.Index,
+			Txn: t.ID, Writes: message.DedupWrites(e.Writes), Index: e.Index,
 		})
 		n++
 	}
@@ -335,13 +317,13 @@ func (p *Pipeline) enqueue(t *Txn) int {
 }
 
 // bookkeep emits the recorder entries, the apply span, and the stats hook
-// for one certified transaction.
+// for one installed transaction.
 func (p *Pipeline) bookkeep(t *Txn) {
 	writes := 0
 	seq := uint64(0)
 	for i := range t.Entries {
 		e := &t.Entries[i]
-		deduped := dedupWrites(e.Writes)
+		deduped := message.DedupWrites(e.Writes)
 		writes += len(deduped)
 		if len(t.Entries) == 1 && !e.Versioned {
 			seq = e.Index
@@ -505,40 +487,4 @@ func (p *Pipeline) Summary() string {
 	}
 	return fmt.Sprintf("wal_flushes=%d sync_inflight=%d batch[%s] fsync[%s] durable[%s]",
 		p.Flushes, inflight, p.BatchSizes.ScalarSummary(), p.FsyncLatency.Summary(), p.DurableLatency.Summary())
-}
-
-// dedupWrites collapses a write sequence so each key appears once with its
-// final value (the same rule the engines apply when building protocol
-// messages). The common case — no key written twice — returns the input
-// slice unchanged: the quadratic duplicate scan over a transaction's
-// (small) write set costs less than the map the slow path builds, and it
-// keeps the commit hot path allocation-free.
-func dedupWrites(writes []message.KV) []message.KV {
-	if len(writes) <= 1 {
-		return writes
-	}
-	for i := 1; i < len(writes); i++ {
-		for j := 0; j < i; j++ {
-			if writes[j].Key == writes[i].Key {
-				return dedupWritesSlow(writes) //reprolint:allow noalloc slow path runs only when a txn rewrites a key; the duplicate-free fast path is pinned at 0 allocs/op by TestEnqueueAllocs
-			}
-		}
-	}
-	return writes
-}
-
-// dedupWritesSlow rebuilds a write set that contains duplicate keys,
-// keeping each key's final write.
-func dedupWritesSlow(writes []message.KV) []message.KV {
-	last := make(map[message.Key]int, len(writes))
-	for i, w := range writes {
-		last[w.Key] = i
-	}
-	out := make([]message.KV, 0, len(writes))
-	for i, w := range writes {
-		if last[w.Key] == i {
-			out = append(out, w)
-		}
-	}
-	return out
 }

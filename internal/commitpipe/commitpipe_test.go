@@ -78,27 +78,26 @@ func TestCertifyFailureAcksAbortImmediately(t *testing.T) {
 	p, _ := offloadPipe(off)
 	st := p.cfg.Store
 	var aborted, committed bool
-	certified := false
+	applied := false
 	p.SubmitGroup([]Txn{
 		{
-			ID:        txn(0, 1),
-			Entries:   []Entry{{Writes: []message.KV{kv("x", "no")}}},
-			Certify:   func() bool { return false },
-			Certified: func() { certified = true },
-			Ack:       func(ok bool) { aborted = !ok },
+			ID:      txn(0, 1),
+			Entries: []Entry{{Writes: []message.KV{kv("x", "no")}}},
+			Aborted: true,
+			Applied: func() { applied = true },
+			Ack:     func(ok bool) { aborted = !ok },
 		},
 		{
 			ID:      txn(0, 2),
 			Entries: []Entry{{Writes: []message.KV{kv("y", "yes")}}},
-			Certify: func() bool { return true },
 			Ack:     func(ok bool) { committed = ok },
 		},
 	})
 	if !aborted {
 		t.Fatal("failed certification did not ack(false) immediately")
 	}
-	if certified {
-		t.Fatal("Certified ran for a failed certification")
+	if applied {
+		t.Fatal("Applied ran for a failed certification")
 	}
 	if _, ok := st.Get("x"); ok {
 		t.Fatal("failed certification installed writes")
@@ -107,7 +106,7 @@ func TestCertifyFailureAcksAbortImmediately(t *testing.T) {
 		t.Fatal("grouped commit acked before fsync")
 	}
 	if _, ok := st.Get("y"); !ok {
-		t.Fatal("certified install missing (installs are synchronous)")
+		t.Fatal("committed install missing (installs are synchronous)")
 	}
 	off.runWork()
 	off.post()

@@ -293,14 +293,14 @@ func TestOffloadAckReentersSubmit(t *testing.T) {
 
 // TestSubmitGroupScratchSurvivesReentry: a callback in the middle of a
 // group re-enters the pipeline; the outer call's per-transaction state
-// (who certified, who contributed records) must read the same afterwards.
+// (the records each transaction contributed) must read the same afterwards.
 func TestSubmitGroupScratchSurvivesReentry(t *testing.T) {
 	off := &stepOffloader{}
 	p, _ := offloadPipe(off)
 	var inner *int
 	var aborted, committed int
 	p.SubmitGroup([]Txn{
-		{ // certified, no records: acknowledged at once, and re-enters
+		{ // committing, no records: acknowledged at once, and re-enters
 			ID:      txn(0, 1),
 			Entries: []Entry{{}},
 			Applied: func() {
@@ -311,17 +311,17 @@ func TestSubmitGroupScratchSurvivesReentry(t *testing.T) {
 			},
 			Ack: func(bool) { inner = submit(p, 50) },
 		},
-		{ // fails certification: must still hear false
+		{ // aborted: must still hear false
 			ID:      txn(0, 2),
 			Entries: []Entry{{Writes: []message.KV{kv("x", "no")}}},
-			Certify: func() bool { return false },
+			Aborted: true,
 			Ack: func(ok bool) {
 				if !ok {
 					aborted++
 				}
 			},
 		},
-		{ // certified with a record: queued behind the fsync
+		{ // committing with a record: queued behind the fsync
 			ID:      txn(0, 3),
 			Entries: []Entry{{Writes: []message.KV{kv("y", "yes")}}},
 			Ack: func(ok bool) {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/broadcast"
-	"repro/internal/commitpipe"
 	"repro/internal/env"
 	"repro/internal/membership"
 	"repro/internal/message"
@@ -199,7 +198,7 @@ func (e *AtomicEngine) Commit(tx *Tx, cb func(Outcome, AbortReason)) {
 		return
 	}
 	tx.state = txCommitWait
-	writes := dedupWrites(tx.writes)
+	writes := message.DedupWrites(tx.writes)
 	req := &message.CommitReq{
 		Txn:     tx.ID,
 		Reads:   tx.readVers,
@@ -274,16 +273,18 @@ func (e *AtomicEngine) scheduleDrain() {
 	})
 }
 
-// drain processes queued commit requests strictly in total order. The head
-// stalls until every disseminated write it announced has arrived — all
-// sites stall identically, so determinism is preserved; causal broadcast's
-// eventual delivery guarantees progress. The maximal deliverable run is
-// handed to the pipeline as one certified group so its installs share a
-// single store traversal and its log records one fsync.
+// drain certifies queued commit requests strictly in total order, each at
+// its order index by the deterministic rule every site applies identically.
+// The head stalls until every disseminated write it announced has arrived —
+// all sites stall identically, so determinism is preserved; causal
+// broadcast's eventual delivery guarantees progress. The maximal
+// deliverable run is handed to the pipeline as one group so its installs
+// share a single store traversal and its log records one fsync.
 func (e *AtomicEngine) drain() {
-	var group []commitpipe.Txn
-	for len(e.queue) > 0 {
-		item := e.queue[0]
+	o := e.takeGroup()
+	n := 0
+	for ; n < len(e.queue); n++ {
+		item := e.queue[n]
 		req := item.req
 		var writes []message.KV
 		if e.cfg.PiggybackWrites {
@@ -294,32 +295,28 @@ func (e *AtomicEngine) drain() {
 				break // await the causal write dissemination
 			}
 		}
-		e.queue = e.queue[1:]
 		e.certIndex = item.idx
 		delete(e.pendingWrites, req.Txn)
-		group = append(group, e.certTxn(item.idx, req, writes, item.at))
+		ok := e.certify(req.Reads, req.Writes, writes)
+		e.tr.Interval(req.Txn, trace.KindCertWait, item.at, item.idx, e.rt.ID(), 0)
+		e.tr.Point(req.Txn, trace.KindCert, item.idx, e.rt.ID(), boolExtra(ok))
+		e.order(&o, req.Txn, item.idx, writes, ok, e.ackFor(req.Txn))
 	}
-	if len(group) > 0 {
-		e.pipe.SubmitGroup(group)
-	}
+	// Compact before the pipeline runs: its ack loop may queue requests.
+	rest := copy(e.queue, e.queue[n:])
+	clear(e.queue[rest:])
+	e.queue = e.queue[:rest]
+	e.submit(o)
 }
 
-// certTxn wraps one totally-ordered commit request as a pipeline adapter;
-// the certification closure runs the deterministic rule identically at
-// every site, at the request's total-order index.
-func (e *AtomicEngine) certTxn(idx uint64, req *message.CommitReq, writes []message.KV, at time.Duration) commitpipe.Txn {
-	return e.orderedTxn(req.Txn, idx, writes,
-		func() bool {
-			ok := e.certify(req.Reads, req.Writes, writes)
-			e.tr.Interval(req.Txn, trace.KindCertWait, at, idx, e.rt.ID(), 0)
-			e.tr.Point(req.Txn, trace.KindCert, idx, e.rt.ID(), boolExtra(ok))
-			return ok
-		},
-		func(committed bool) {
-			if tx := e.local[req.Txn]; tx != nil {
-				e.finishCertified(tx, committed)
-			}
-		})
+// ackFor returns the acknowledgement of an ordered request: the waiting
+// client's at the transaction's home site, none anywhere else.
+func (e *AtomicEngine) ackFor(id message.TxnID) func(committed bool) {
+	tx := e.local[id]
+	if tx == nil {
+		return nil
+	}
+	return func(committed bool) { e.finishCertified(tx, committed) }
 }
 
 // onViewChange lets the broadcast stack re-drive total ordering (sequencer

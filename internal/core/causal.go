@@ -170,7 +170,7 @@ func (e *CausalEngine) Commit(tx *Tx, cb func(Outcome, AbortReason)) {
 		// needs to know peers now hold state.
 		tx.opInFlight = true
 		e.tr.Point(tx.ID, trace.KindWriteSend, 0, e.rt.ID(), int64(len(tx.writes)))
-		tx.lastCSeq = e.cbcast(&message.WriteBatch{Txn: tx.ID, Writes: dedupWrites(tx.writes)})
+		tx.lastCSeq = e.cbcast(&message.WriteBatch{Txn: tx.ID, Writes: message.DedupWrites(tx.writes)})
 		if tx.state == txDone {
 			return // the local all-or-nothing acquisition refused the batch
 		}

@@ -727,8 +727,8 @@ func (b *base) readPrecheck(tx *Tx) error {
 }
 
 // bufferWrite validates and appends a write to the transaction. Repeated
-// writes to one key stay separate operations; dedupWrites collapses them
-// where a write set is needed.
+// writes to one key stay separate operations; message.DedupWrites
+// collapses them where a write set is needed.
 func (b *base) bufferWrite(tx *Tx, key message.Key, val message.Value) error {
 	switch {
 	case tx.state == txDone:
@@ -743,25 +743,6 @@ func (b *base) bufferWrite(tx *Tx, key message.Key, val message.Value) error {
 	tx.wrote = true
 	tx.writes = append(tx.writes, message.KV{Key: key, Value: val})
 	return nil
-}
-
-// dedupWrites collapses a staged op sequence so each key appears once with
-// its final value, preserving first-write order between keys.
-func dedupWrites(writes []message.KV) []message.KV {
-	if len(writes) <= 1 {
-		return writes
-	}
-	last := make(map[message.Key]int, len(writes))
-	for i, w := range writes {
-		last[w.Key] = i
-	}
-	out := writes[:0:0]
-	for i, w := range writes {
-		if last[w.Key] == i {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // dropSite removes s from a pending-acknowledgement set, if present.
@@ -786,28 +767,22 @@ type replica struct {
 // commitPipelined feeds a decided lock-based commit through the shared
 // pipeline: install r's staged writes at the next local commit index, run
 // applied (lock release, replica-record cleanup) after the versions are
-// visible, and acknowledge the home client's callback once the commit is
-// durable under the group-commit policy — or tell it the commit is not
-// durable here.
+// visible, and — at the home site, the only one where a client waits —
+// acknowledge the client's callback once the commit is durable under the
+// group-commit policy, or tell it the commit is not durable here.
 func (b *base) commitPipelined(r *replica, applied func()) {
-	id := r.id
 	r.entry[0] = commitpipe.Entry{Writes: r.staged}
-	b.pipe.Submit(commitpipe.Txn{
-		ID:      id,
-		Entries: r.entry[:],
-		Applied: applied,
-		Ack: func(durable bool) {
-			tx := b.local[id]
-			if tx == nil {
-				return
-			}
+	t := commitpipe.Txn{ID: r.id, Entries: r.entry[:], Applied: applied}
+	if tx := b.local[r.id]; tx != nil {
+		t.Ack = func(durable bool) {
 			if durable {
 				b.finish(tx, Committed, ReasonNone)
 			} else {
 				b.finish(tx, Aborted, ReasonStorage)
 			}
-		},
-	})
+		}
+	}
+	b.pipe.Submit(t)
 }
 
 // Stats returns the engine's counters.

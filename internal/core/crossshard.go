@@ -212,8 +212,7 @@ func (g *shardGroup) onOrderedDecision(idx uint64, d *message.ShardDecision) {
 		g.ackDecision(d.Txn, sub, d.Commit)
 		return
 	}
-	g.pipe.Submit(g.orderedTxn(d.Txn, idx, sub.writes, nil,
-		func(bool) { g.ackDecision(d.Txn, sub, true) }))
+	g.submitOne(d.Txn, idx, sub.writes, true, func(bool) { g.ackDecision(d.Txn, sub, true) })
 }
 
 // ackDecision reports this group's durable processing of a cross-shard
@@ -228,7 +227,7 @@ func (g *shardGroup) ackDecision(txn message.TxnID, sub *preparedSub, commit boo
 	if sub != nil {
 		coord = sub.coord
 	}
-	if !e.ring.Replicates(g.id, coord) && e.ring.Leader(g.id) == e.rt.ID() {
+	if g.reportsFor(coord) {
 		e.rt.Send(coord, &message.ShardOutcome{Txn: txn, Group: g.id, Commit: commit})
 	}
 }

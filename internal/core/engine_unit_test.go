@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/broadcast"
 	"repro/internal/message"
 	"repro/internal/storage"
 )
@@ -143,6 +145,74 @@ func TestAtomicPiggybackStreamEquivalence(t *testing.T) {
 			t.Fatalf("txn %d: stream=%v piggyback=%v", i, a[i], b[i])
 		}
 	}
+}
+
+// TestAtomicDrainReentry: a commit callback runs inside the pipeline's ack
+// loop, and a client that commits its next transactions there may drain
+// again while the outer group still has acknowledgements to fire (the
+// sequencer drains every delivery at once). The inner drain must build its
+// group in slices of its own: were it to reuse the outer group's scratch,
+// the outer group's later transactions would be overwritten and their
+// clients would never hear their outcome. The batch orderer seals two
+// requests per batch, so both groups hold two, and the pipeline — no WAL,
+// no group commit — fires every acknowledgement inside its ack loop.
+func TestAtomicDrainReentry(t *testing.T) {
+	const rounds = 4
+	tc := newTestCluster(t, 3, "atomic", Config{
+		AtomicMode: broadcast.AtomicBatch, AtomicBatchMsgs: 2, AtomicBatchWindow: time.Hour, PiggybackWrites: true,
+	}, 69)
+	e := tc.engines[0].(*AtomicEngine)
+	outcomes := make(map[string]Outcome)
+	commit := func(key string, then func()) {
+		tx := e.Begin(false)
+		if err := e.Write(tx, message.Key(key), message.Value(key)); err != nil {
+			t.Errorf("write %s: %v", key, err)
+			return
+		}
+		e.Commit(tx, func(o Outcome, _ AbortReason) {
+			outcomes[key] = o
+			if then != nil {
+				then()
+			}
+		})
+	}
+	// Round r commits a and b, sealed into one batch. a's callback — the
+	// first acknowledgement of its group — commits round r+1 and drains it
+	// at once, while b still waits in the same ack loop.
+	var round func(r int)
+	round = func(r int) {
+		if r == rounds {
+			return
+		}
+		commit(fmt.Sprintf("a%d", r), func() {
+			round(r + 1)
+			e.drain()
+		})
+		commit(fmt.Sprintf("b%d", r), nil)
+	}
+	// A first pair warms the group scratch the rounds' outer drains reuse.
+	tc.c.Schedule(time.Millisecond, func() {
+		commit("w0", nil)
+		commit("w1", nil)
+	})
+	tc.c.Schedule(50*time.Millisecond, func() { round(0) })
+	tc.run(5 * time.Second)
+	keys := []string{"w0", "w1"}
+	for r := 0; r < rounds; r++ {
+		keys = append(keys, fmt.Sprintf("a%d", r), fmt.Sprintf("b%d", r))
+	}
+	for _, key := range keys {
+		if o, ok := outcomes[key]; !ok || o != Committed {
+			t.Errorf("%s: outcome %v (heard: %v)", key, o, ok)
+		}
+		for i, eng := range tc.engines {
+			if rec, _ := eng.Store().Get(message.Key(key)); string(rec.Value) != key {
+				t.Errorf("site %d: %s = %q", i, key, rec.Value)
+			}
+		}
+	}
+	tc.checkInvariants()
+	tc.checkNoLeaks()
 }
 
 // TestCommitCallbackExactlyOnce guards the exactly-once contract of the

@@ -37,6 +37,7 @@ type replicaGroup struct {
 
 	certIndex  uint64 // order index of the last processed request
 	lastCommit map[message.Key]uint64
+	spare      orderedGroup // pipeline-group scratch, see takeGroup
 	// blocked holds the footprints of certified-but-undecided cross-shard
 	// prepares: a concurrent write touching a blocked key — or a read of a
 	// key a blocking prepare writes — fails certification
@@ -131,7 +132,10 @@ func (g *replicaGroup) noteCommitted(entries []message.SnapshotEntry) {
 // prepare's decision). Write base versions, when the request carries them
 // (full replication), are checked the same way; sharded writes are blind
 // and serialize by install index. No write may touch a key any undecided
-// prepare holds.
+// prepare holds. It runs once per ordered request at every member and
+// allocates nothing; TestOrderedCommitAllocs pins the path around it.
+//
+// reprolint:noalloc
 func (g *replicaGroup) certify(reads, writeVers []message.KeyVer, writes []message.KV) bool {
 	for _, kv := range reads {
 		if g.lastCommit[kv.Key] > kv.Ver {
@@ -154,23 +158,56 @@ func (g *replicaGroup) certify(reads, writeVers []message.KeyVer, writes []messa
 	return true
 }
 
-// orderedTxn adapts one totally ordered request to the commit pipeline:
-// certify (nil when the protocol already decided commit) runs at the
-// request's order index idx, a pass makes idx the latest committed version
-// of every written key before the install, and ack fires once the outcome
-// is durable.
-func (g *replicaGroup) orderedTxn(id message.TxnID, idx uint64, writes []message.KV, certify func() bool, ack func(committed bool)) commitpipe.Txn {
-	return commitpipe.Txn{
-		ID:      id,
-		Entries: []commitpipe.Entry{{Writes: writes, Index: idx}},
-		Certify: certify,
-		Certified: func() {
-			for _, w := range writes {
-				g.lastCommit[w.Key] = idx
-			}
-		},
-		Ack: ack,
+// orderedGroup is a pipeline group of ordered requests being built in the
+// replication group's scratch (see takeGroup).
+type orderedGroup struct {
+	txns    []commitpipe.Txn
+	entries []commitpipe.Entry
+}
+
+// takeGroup borrows the group scratch, leaving none behind until submit
+// returns it: a group built while this one is in the pipeline — a drain
+// re-entered from the ack loop — allocates slices of its own instead of
+// overwriting transactions the pipeline has yet to acknowledge.
+func (g *replicaGroup) takeGroup() orderedGroup {
+	o := g.spare
+	g.spare = orderedGroup{}
+	return o
+}
+
+// order appends one decided request at order index idx to o. A commit
+// (ok) makes idx the latest committed version of every written key, so the
+// requests ordered after it certify against it; an abort installs nothing.
+// ack, if not nil, hears the durable outcome.
+func (g *replicaGroup) order(o *orderedGroup, id message.TxnID, idx uint64, writes []message.KV, ok bool, ack func(committed bool)) {
+	if ok {
+		for _, w := range writes {
+			g.lastCommit[w.Key] = idx
+		}
 	}
+	o.entries = append(o.entries, commitpipe.Entry{Writes: writes, Index: idx})
+	o.txns = append(o.txns, commitpipe.Txn{ID: id, Aborted: !ok, Ack: ack})
+}
+
+// submit runs o through the pipeline as one group and returns its slices
+// to the scratch.
+func (g *replicaGroup) submit(o orderedGroup) {
+	if len(o.txns) > 0 {
+		for i := range o.txns {
+			o.txns[i].Entries = o.entries[i : i+1 : i+1]
+		}
+		g.pipe.SubmitGroup(o.txns)
+		clear(o.txns)
+		clear(o.entries)
+	}
+	g.spare = orderedGroup{o.txns[:0], o.entries[:0]}
+}
+
+// submitOne runs a single decided request through the pipeline.
+func (g *replicaGroup) submitOne(id message.TxnID, idx uint64, writes []message.KV, ok bool, ack func(committed bool)) {
+	o := g.takeGroup()
+	g.order(&o, id, idx, writes, ok, ack)
+	g.submit(o)
 }
 
 // receive routes one message of this group's traffic — the stack's own, or

@@ -240,7 +240,7 @@ func (e *QuorumEngine) Commit(tx *Tx, cb func(Outcome, AbortReason)) {
 		return
 	}
 	tx.state = txCommitWait
-	keys := writeKeys(dedupWrites(tx.writes))
+	keys := writeKeys(message.DedupWrites(tx.writes))
 	slices.Sort(keys)
 	e.lockRounds[tx.ID] = &qLockRound{replies: make(map[message.SiteID][]message.KeyVer)}
 	tx.commitAt = e.rt.Now()
@@ -368,7 +368,7 @@ func (e *QuorumEngine) onLockReply(rep *message.QLockReply) {
 	delete(e.lockRounds, rep.Txn)
 	// New version per key: the quorum's maximum plus one. Quorum
 	// intersection guarantees the maximum covers every committed write.
-	writes := dedupWrites(tx.writes)
+	writes := message.DedupWrites(tx.writes)
 	maxVer := make(map[message.Key]uint64, len(writes))
 	for _, vers := range round.replies {
 		for _, kv := range vers {

@@ -137,7 +137,7 @@ func (e *ReliableEngine) pump(tx *Tx) {
 			// all-sites acknowledgement round follows.
 			tx.opInFlight = true
 			tx.ackWait = append(tx.ackWait[:0], e.members()...)
-			batch := &message.WriteBatch{Txn: tx.ID, Writes: dedupWrites(tx.writes)}
+			batch := &message.WriteBatch{Txn: tx.ID, Writes: message.DedupWrites(tx.writes)}
 			tx.nextOp = len(tx.writes)
 			tx.opSentAt = e.rt.Now()
 			e.tr.Point(tx.ID, trace.KindWriteSend, 0, e.rt.ID(), int64(len(batch.Writes)))

@@ -285,7 +285,7 @@ func (e *ShardedEngine) Commit(tx *Tx, cb func(Outcome, AbortReason)) {
 	}
 	tx.state = txCommitWait
 	tx.commitAt = e.rt.Now()
-	writes := dedupWrites(tx.writes)
+	writes := message.DedupWrites(tx.writes)
 	wByGroup := make(map[message.GroupID][]message.KV)
 	for _, w := range writes {
 		gid := e.ring.GroupOf(w.Key)
@@ -405,14 +405,13 @@ func (g *shardGroup) deliver(d broadcast.Delivery) {
 func (g *shardGroup) onOrderedCommit(idx uint64, req *message.CommitReq) {
 	g.certIndex = idx
 	e := g.eng
-	writes := req.WriteKV
-	g.pipe.Submit(g.orderedTxn(req.Txn, idx, writes,
-		func() bool {
-			ok := g.certify(req.Reads, nil, writes)
-			e.tr.Point(req.Txn, trace.KindShardCert, idx, message.SiteID(g.id), boolExtra(ok))
-			return ok
-		},
-		func(committed bool) { g.ackSingle(req.Txn, committed) }))
+	ok := g.certify(req.Reads, nil, req.WriteKV)
+	e.tr.Point(req.Txn, trace.KindShardCert, idx, message.SiteID(g.id), boolExtra(ok))
+	var ack func(bool)
+	if e.local[req.Txn] != nil || g.reportsFor(req.Txn.Site) {
+		ack = func(committed bool) { g.ackSingle(req.Txn, committed) }
+	}
+	g.submitOne(req.Txn, idx, req.WriteKV, ok, ack)
 }
 
 // ackSingle resolves a single-group commit once it is durable: finish the
@@ -424,9 +423,16 @@ func (g *shardGroup) ackSingle(txn message.TxnID, committed bool) {
 		e.finishCertified(tx, committed)
 		return
 	}
-	if !e.ring.Replicates(g.id, txn.Site) && e.ring.Leader(g.id) == e.rt.ID() {
+	if g.reportsFor(txn.Site) {
 		e.rt.Send(txn.Site, &message.ShardOutcome{Txn: txn, Commit: committed})
 	}
+}
+
+// reportsFor reports whether this site tells origin the outcome of what
+// the group orders on its behalf: origin is no member, and this site is the
+// group's leader (deterministically one site).
+func (g *shardGroup) reportsFor(origin message.SiteID) bool {
+	return !g.eng.ring.Replicates(g.id, origin) && g.eng.ring.Leader(g.id) == g.eng.rt.ID()
 }
 
 // --- Accessors.

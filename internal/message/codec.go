@@ -387,16 +387,16 @@ func (e *encoder) orderEntries(es []OrderEntry) {
 	}
 }
 
-func (d *decoder) orderEntries() []OrderEntry {
+// seqOrder decodes a SeqOrder body; a one-entry announcement — every one
+// the fixed sequencer sends — shares its allocation with the entry.
+func (d *decoder) seqOrder() *SeqOrder {
+	s := d.site()
 	n := d.count(3)
-	if n == 0 {
-		return nil
+	o := NewSeqOrder(s, n)
+	for i := 0; i < n; i++ {
+		o.Entries = append(o.Entries, OrderEntry{Origin: d.site(), Seq: d.uint(), Index: d.uint()})
 	}
-	es := make([]OrderEntry, n)
-	for i := range es {
-		es[i] = OrderEntry{Origin: d.site(), Seq: d.uint(), Index: d.uint()}
-	}
-	return es
+	return o
 }
 
 func (e *encoder) snapshotEntries(es []SnapshotEntry) {
@@ -832,11 +832,7 @@ func (e *encoder) message(m Message) {
 // returns nil with d.err set.
 func (d *decoder) message() Message {
 	kind := Kind(d.byte())
-	if kind == 0 {
-		return nil
-	}
-	if d.depth++; d.depth > maxNesting {
-		d.fail(errNesting)
+	if kind == 0 || !d.enter() {
 		return nil
 	}
 	m := d.body(kind)
@@ -847,15 +843,94 @@ func (d *decoder) message() Message {
 	return m
 }
 
+// enter counts one more level of message nesting, failing past maxNesting.
+func (d *decoder) enter() bool {
+	if d.depth++; d.depth > maxNesting {
+		d.fail(errNesting)
+		return false
+	}
+	return true
+}
+
+// bcast decodes a Bcast body. A payload of one of the kinds every commit
+// broadcasts (see hotPair) shares the envelope's allocation; any other
+// payload, a nil one included, decodes as a message of its own.
+func (d *decoder) bcast() Message {
+	hdr := Bcast{Class: Class(d.intField()), Origin: d.site(), Seq: d.uint(), VC: d.vc()}
+	var b *Bcast
+	var payload Message
+	if len(d.b) > 0 {
+		b, payload = hotPair(Kind(d.b[0]), hdr)
+	}
+	if payload == nil {
+		b = new(Bcast)
+		*b = hdr
+		b.Payload = d.message()
+	} else if d.byte(); d.enter() { // what message() does before the body
+		b.Payload = d.hot(payload)
+		d.depth--
+	}
+	b.Relayed, b.Trace = d.bool(), d.txn()
+	return b
+}
+
+// hotPair allocates a Bcast with hdr's fields together with an empty
+// payload of kind k, for the kinds every commit broadcasts; nil, nil for
+// any other kind.
+func hotPair(k Kind, hdr Bcast) (*Bcast, Message) {
+	switch k {
+	case KindWriteReq:
+		return pairOf[WriteReq](hdr)
+	case KindCommitReq:
+		return pairOf[CommitReq](hdr)
+	case KindVoteReq:
+		return pairOf[VoteReq](hdr)
+	case KindVote:
+		return pairOf[Vote](hdr)
+	case KindDecision:
+		return pairOf[Decision](hdr)
+	}
+	return nil, nil
+}
+
+func pairOf[T any, P interface {
+	*T
+	Message
+}](hdr Bcast) (*Bcast, Message) {
+	x := &struct {
+		Bcast
+		payload T
+	}{Bcast: hdr}
+	return &x.Bcast, P(&x.payload)
+}
+
+// hot decodes the body of m, an empty message of a kind hotPair pairs, into
+// m and returns it.
+func (d *decoder) hot(m Message) Message {
+	switch t := m.(type) {
+	case *WriteReq:
+		*t = WriteReq{Txn: d.txn(), OpSeq: d.intField(), Key: d.key(), Value: d.value()}
+	case *CommitReq:
+		*t = CommitReq{
+			Txn: d.txn(), Reads: d.keyVers(), Writes: d.keyVers(),
+			NWrites: d.intField(), WriteKV: d.kvs(),
+		}
+	case *VoteReq:
+		*t = VoteReq{Txn: d.txn()}
+	case *Vote:
+		*t = Vote{Txn: d.txn(), By: d.site(), Yes: d.bool()}
+	case *Decision:
+		*t = Decision{Txn: d.txn(), Commit: d.bool(), NOps: d.intField()}
+	}
+	return m
+}
+
 func (d *decoder) body(kind Kind) Message {
 	switch kind {
 	case KindBcast:
-		return &Bcast{
-			Class: Class(d.intField()), Origin: d.site(), Seq: d.uint(), VC: d.vc(),
-			Payload: d.message(), Relayed: d.bool(), Trace: d.txn(),
-		}
+		return d.bcast()
 	case KindSeqOrder:
-		return &SeqOrder{Sequencer: d.site(), Entries: d.orderEntries()}
+		return d.seqOrder()
 	case KindIsisPropose:
 		return &IsisPropose{Origin: d.site(), Seq: d.uint(), Proposer: d.site(), TS: d.uint()}
 	case KindIsisFinal:
@@ -873,22 +948,19 @@ func (d *decoder) body(kind Kind) Message {
 	case KindRetransmitReq:
 		return &RetransmitReq{From: d.site(), FromIndex: d.uint(), Applied: d.uint()}
 	case KindWriteReq:
-		return &WriteReq{Txn: d.txn(), OpSeq: d.intField(), Key: d.key(), Value: d.value()}
+		return d.hot(new(WriteReq))
 	case KindWriteAck:
 		return &WriteAck{Txn: d.txn(), OpSeq: d.intField(), By: d.site(), OK: d.bool()}
 	case KindTxnNack:
 		return &TxnNack{Txn: d.txn(), By: d.site(), Key: d.key()}
 	case KindVoteReq:
-		return &VoteReq{Txn: d.txn()}
+		return d.hot(new(VoteReq))
 	case KindVote:
-		return &Vote{Txn: d.txn(), By: d.site(), Yes: d.bool()}
+		return d.hot(new(Vote))
 	case KindDecision:
-		return &Decision{Txn: d.txn(), Commit: d.bool(), NOps: d.intField()}
+		return d.hot(new(Decision))
 	case KindCommitReq:
-		return &CommitReq{
-			Txn: d.txn(), Reads: d.keyVers(), Writes: d.keyVers(),
-			NWrites: d.intField(), WriteKV: d.kvs(),
-		}
+		return d.hot(new(CommitReq))
 	case KindCausalNull:
 		return &CausalNull{From: d.site()}
 	case KindWriteBatch:

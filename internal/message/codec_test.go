@@ -107,6 +107,11 @@ func codecSamples() []Message {
 		&CoordStatus{Txn: id, Group: 1, By: 2, Decided: true, Outcome: true, Prepared: true, Vote: true},
 		&CoordStatus{Txn: id, Group: 1, By: 2, Prepared: true},
 		&Heartbeat{From: -1, ViewID: 1<<64 - 1}, // integer extremes
+		// Appended, so that the fuzz seeds built from the samples above keep
+		// their numbers: shapes of the decoder's shared-allocation path.
+		&Bcast{Class: ClassReliable, Origin: 0, Seq: 3, Payload: &VoteReq{Txn: id}},
+		&Bcast{Class: ClassCausal, Origin: 2, Seq: 4, VC: vclock.VC{0, 0, 4}, Payload: &Decision{Txn: id, Commit: true, NOps: 2}},
+		&SeqOrder{Sequencer: 0, Entries: []OrderEntry{{Origin: 2, Seq: 9, Index: 12}}}, // one entry, as the fixed sequencer sends
 	}
 }
 
@@ -250,6 +255,44 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	if _, err := DecodeMessage(deep[2:]); err != nil {
 		t.Errorf("%d nested messages refused: %v", maxNesting, err)
 	}
+
+	// The payloads every commit broadcasts decode into their envelope's
+	// allocation on a path of their own, which must accept and refuse
+	// exactly what the generic path does; WriteAck stands in for every
+	// other payload kind.
+	id := TxnID{Site: 1, Seq: 2}
+	generic := &WriteAck{Txn: id, OpSeq: 1}
+	nested := func(payload Message, depth int) Message {
+		var m Message = &Bcast{Class: ClassAtomic, Origin: 1, Seq: 3, Payload: payload}
+		for d := 2; d < depth; d++ {
+			m = &GroupMsg{Group: 1, Inner: m}
+		}
+		return m
+	}
+	decodeNested := func(payload Message, depth int) (Message, error) {
+		return DecodeMessage(AppendMessage(nil, nested(payload, depth)))
+	}
+	for _, hot := range []Message{&WriteReq{Txn: id, OpSeq: 1, Key: "k", Value: Value("v")}, &CommitReq{Txn: id, NWrites: 1}} {
+		name := "Bcast{" + hot.Kind().String() + "}"
+		if m, err := decodeNested(hot, maxNesting); err != nil || !reflect.DeepEqual(m, nested(hot, maxNesting)) {
+			t.Errorf("%s nested %d deep: %#v, %v", name, maxNesting, m, err)
+		}
+		m, err := decodeNested(hot, maxNesting+1)
+		if _, want := decodeNested(generic, maxNesting+1); m != nil || err != want || want != errNesting {
+			t.Errorf("%s nested %d deep: %v, %v; generic payload: %v", name, maxNesting+1, m, err, want)
+		}
+		// Kind, class, origin, sequence and an empty clock take five bytes;
+		// the payload's kind byte follows.
+		cut := AppendMessage(nil, &Bcast{Payload: hot})[:6]
+		cutGeneric := AppendMessage(nil, &Bcast{Payload: generic})[:6]
+		if cut[5] != byte(hot.Kind()) || cutGeneric[5] != byte(KindWriteAck) {
+			t.Fatalf("%s: the frame layout moved: %x", name, cut)
+		}
+		m, err = DecodeMessage(cut)
+		if _, want := DecodeMessage(cutGeneric); m != nil || err != want || want != errTruncated {
+			t.Errorf("%s cut after the payload's kind: %v, %v; generic payload: %v", name, m, err, want)
+		}
+	}
 }
 
 // FuzzDecodeMessage: arbitrary bytes never panic the decoder, and whatever
@@ -283,7 +326,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	})
 }
 
-// hotSamples are the envelopes protocol R and A put on the wire per commit.
+// hotSamples are the messages protocols R and A put on the wire per commit.
 func hotSamples() map[string]Message {
 	id := TxnID{Site: 1, Seq: 123456}
 	commit := &CommitReq{
@@ -291,6 +334,7 @@ func hotSamples() map[string]Message {
 		Writes: []KeyVer{{Key: "key-000017", Ver: 41}}, NWrites: 1,
 	}
 	return map[string]Message{
+		"SeqOrder": &SeqOrder{Sequencer: 0, Entries: []OrderEntry{{Origin: 1, Seq: 4711, Index: 123456}}},
 		"WriteReq": &Bcast{
 			Class: ClassCausal, Origin: 1, Seq: 4711, VC: vclock.VC{4711, 4690, 4702}, Trace: id,
 			Payload: &WriteReq{Txn: id, OpSeq: 1, Key: "key-000017", Value: make(Value, 128)},
@@ -302,21 +346,27 @@ func hotSamples() map[string]Message {
 }
 
 // TestCodecAllocs pins the reprolint:noalloc marker on AppendMessage at run
-// time, and the decoder's budget: the message structs, the vector clock,
-// the key string and the value slice — nothing for the decoder itself.
+// time, and the decoder's budget: one allocation for a Bcast and its
+// payload together (for a SeqOrder and its one entry), then one per vector
+// clock, slice, key string and value — nothing for the decoder itself.
 func TestCodecAllocs(t *testing.T) {
-	for name, maxDecode := range map[string]float64{"WriteReq": 5, "Vote": 2} {
+	for name, maxDecode := range map[string]float64{
+		"WriteReq":  4, // envelope+payload, clock, key, value
+		"Vote":      1,
+		"CommitReq": 6, // envelope+payload, reads, two read keys, writes, one write key
+		"SeqOrder":  1,
+	} {
 		m := hotSamples()[name]
 		buf := AppendMessage(nil, m)
 		if n := testing.AllocsPerRun(200, func() { buf = AppendMessage(buf[:0], m) }); n != 0 {
-			t.Errorf("encode Bcast{%s} into a warm buffer = %v allocs/op, want 0", name, n)
+			t.Errorf("encode %s into a warm buffer = %v allocs/op, want 0", name, n)
 		}
 		var sink Message
 		if n := testing.AllocsPerRun(200, func() { sink, _ = DecodeMessage(buf) }); n > maxDecode {
-			t.Errorf("decode Bcast{%s} = %v allocs/op, want at most %v", name, n, maxDecode)
+			t.Errorf("decode %s = %v allocs/op, want at most %v", name, n, maxDecode)
 		}
 		if !reflect.DeepEqual(sink, m) {
-			t.Errorf("Bcast{%s} did not survive the round trip", name)
+			t.Errorf("%s did not survive the round trip", name)
 		}
 	}
 }
@@ -325,7 +375,7 @@ var benchSink Message
 
 func BenchmarkCodec(b *testing.B) {
 	samples := hotSamples()
-	for _, name := range []string{"WriteReq", "Vote", "CommitReq", "GroupMsg"} {
+	for _, name := range []string{"WriteReq", "Vote", "CommitReq", "GroupMsg", "SeqOrder"} {
 		m := samples[name]
 		enc := AppendMessage(nil, m)
 		b.Run("encode/"+name, func(b *testing.B) {

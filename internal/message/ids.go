@@ -71,3 +71,40 @@ type KV struct {
 	Key   Key
 	Value Value
 }
+
+// DedupWrites collapses a write sequence so each key appears once with its
+// final value, at the position of that final write. The common case — no
+// key written twice — returns the input slice itself: the quadratic
+// duplicate scan over a transaction's (small) write set costs less than the
+// map the slow path builds, and it keeps the commit hot path
+// allocation-free. A caller that builds a message from the result must not
+// append to the input afterwards.
+func DedupWrites(writes []KV) []KV {
+	if len(writes) <= 1 {
+		return writes
+	}
+	for i := 1; i < len(writes); i++ {
+		for j := 0; j < i; j++ {
+			if writes[j].Key == writes[i].Key {
+				return dedupWritesSlow(writes) //reprolint:allow noalloc slow path runs only when a txn rewrites a key; the duplicate-free fast path is pinned at 0 allocs/op by TestEnqueueAllocs
+			}
+		}
+	}
+	return writes
+}
+
+// dedupWritesSlow rebuilds a write set that contains duplicate keys,
+// keeping each key's final write.
+func dedupWritesSlow(writes []KV) []KV {
+	last := make(map[Key]int, len(writes))
+	for i, w := range writes {
+		last[w.Key] = i
+	}
+	out := make([]KV, 0, len(writes))
+	for i, w := range writes {
+		if last[w.Key] == i {
+			out = append(out, w)
+		}
+	}
+	return out
+}

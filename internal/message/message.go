@@ -200,6 +200,24 @@ type SeqOrder struct {
 // Kind implements Message.
 func (*SeqOrder) Kind() Kind { return KindSeqOrder }
 
+// NewSeqOrder returns an empty announcement with room for n entries. With
+// n == 1 — every announcement of the fixed sequencer — the entry shares the
+// message's allocation; with n == 0 Entries stays nil.
+func NewSeqOrder(sequencer SiteID, n int) *SeqOrder {
+	switch n {
+	case 0:
+		return &SeqOrder{Sequencer: sequencer}
+	case 1:
+		x := &struct {
+			SeqOrder
+			entry [1]OrderEntry
+		}{SeqOrder: SeqOrder{Sequencer: sequencer}}
+		x.Entries = x.entry[:0]
+		return &x.SeqOrder
+	}
+	return &SeqOrder{Sequencer: sequencer, Entries: make([]OrderEntry, 0, n)}
+}
+
 // IsisPropose carries a receiver's proposed timestamp for an atomic
 // broadcast in the ISIS-style agreed-timestamp variant.
 type IsisPropose struct {

@@ -58,3 +58,25 @@ func TestClassStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestDedupWritesFastPath: a duplicate-free write set passes through
+// unchanged (no copy), while a rewritten key takes the slow path and
+// keeps each key's final write.
+func TestDedupWritesFastPath(t *testing.T) {
+	kv := func(k, v string) KV { return KV{Key: Key(k), Value: Value(v)} }
+	w := []KV{kv("a", "1"), kv("b", "2")}
+	if got := DedupWrites(w); len(got) != 2 || &got[0] != &w[0] {
+		t.Fatalf("fast path copied: got %v", got)
+	}
+	d := []KV{kv("a", "1"), kv("b", "2"), kv("a", "3")}
+	got := DedupWrites(d)
+	want := []KV{kv("b", "2"), kv("a", "3")}
+	if len(got) != len(want) {
+		t.Fatalf("slow path: got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || string(got[i].Value) != string(want[i].Value) {
+			t.Fatalf("slow path: got %v, want %v", got, want)
+		}
+	}
+}
