@@ -66,9 +66,9 @@ bench-identical:
 	diff <(grep -Ev '$(BENCH_WALLCLOCK)' $(A)) <(grep -Ev '$(BENCH_WALLCLOCK)' $(B))
 
 # fuzz mirrors CI's fuzz sweeps: 30s per fuzz target of the packages that
-# decode bytes they did not write (WAL files, the TCP wire).
+# decode bytes they did not write (WAL files, checkpoint files, the TCP wire).
 fuzz:
-	@for pkg in ./internal/storage/ ./internal/message/; do \
+	@for pkg in ./internal/storage/ ./internal/checkpoint/ ./internal/message/; do \
 		for target in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 			echo "=== $$pkg $$target"; \
 			$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime=30s $$pkg || exit 1; \

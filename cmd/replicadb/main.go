@@ -19,6 +19,13 @@
 //	STATS                    engine counters plus per-peer transport counters
 //	TRACE                    dump this site's span ring as JSONL (see docs/TRACING.md)
 //
+// Durability: -wal names a directory holding the site's segmented log
+// (wal-*.seg) and, when a -checkpoint-* trigger is set, its checkpoints
+// (ckpt-*.ckpt). Every restart recovers through checkpoint.Recover — the
+// newest valid checkpoint plus the log suffix above it — with or without
+// checkpoint flags. A single-file log from an older version is refused
+// with the command that migrates it (it becomes the first segment).
+//
 // Partial replication (-proto atomic only): -shards splits the keyspace
 // into that many replication groups, each replicated by -rf sites chosen
 // deterministically from the static site set. A site's -wal directory then
@@ -70,9 +77,9 @@ func run() error {
 		peers      = flag.String("peers", "", "comma-separated id=host:port for every site")
 		proto      = flag.String("proto", "causal", "replication protocol: reliable|causal|atomic|baseline|quorum")
 		client     = flag.String("client", "", "client listen address (host:port)")
-		walPath    = flag.String("wal", "", "write-ahead log: a directory for a segmented log, or a single file (optional)")
-		walSegMB   = flag.Int64("wal-seg-bytes", storage.DefaultSegmentBytes, "segment rotation threshold in bytes (directory logs)")
-		ckptIval   = flag.Duration("checkpoint-interval", 0, "periodic checkpoint interval (0 disables the timer trigger; requires a directory -wal)")
+		walPath    = flag.String("wal", "", "write-ahead log directory: segments plus checkpoints, recovered on start (optional)")
+		walSegMB   = flag.Int64("wal-seg-bytes", storage.DefaultSegmentBytes, "WAL segment rotation threshold in bytes")
+		ckptIval   = flag.Duration("checkpoint-interval", 0, "periodic checkpoint interval (0 disables the timer trigger; requires -wal; restarts read existing checkpoints either way)")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "checkpoint once this many bytes were appended to the WAL since the last one (0 disables the bytes trigger)")
 		ckptRetain = flag.Int("checkpoint-retain", 3, "completed checkpoints to keep on disk")
 		heartbeat  = flag.Duration("heartbeat", 25*time.Millisecond, "protocol C null-broadcast interval")
@@ -141,112 +148,18 @@ func run() error {
 	// Group commit is on wherever there is a log (a pipeline without one
 	// ignores the policy); > 1 means on, the magnitude is unread.
 	ecfg.GroupCommit = commitpipe.Policy{MaxBatch: 2}
-	ckptEnabled := *ckptIval > 0 || *ckptBytes > 0
-	var wal *storage.WAL
-	var groupWALs map[message.GroupID]*storage.WAL
-	if *walPath != "" && ring != nil {
-		// Per-group durability: one segmented WAL (plus checkpoints when
-		// enabled) per local replication group, under <wal>/g<N>/, each
-		// recovered independently so a restarted site resumes every group
-		// from its own durable floor.
-		if fi, serr := os.Stat(*walPath); serr == nil && !fi.IsDir() {
-			return fmt.Errorf("partial replication requires a directory -wal (got file %s)", *walPath)
+	var ckpt checkpoint.Policy // zero: this boot takes no checkpoints
+	if *ckptIval > 0 || *ckptBytes > 0 {
+		if *walPath == "" {
+			return fmt.Errorf("checkpointing requires -wal")
 		}
-		groupWALs = make(map[message.GroupID]*storage.WAL)
-		stores := make(map[message.GroupID]*storage.Store)
-		stacks := make(map[message.GroupID]*message.StackSync)
-		pols := make(map[message.GroupID]checkpoint.Policy)
-		for _, g := range ring.SiteGroups(message.SiteID(*id)) {
-			gdir := filepath.Join(*walPath, g.String())
-			var st *storage.Store
-			if ckptEnabled {
-				st2, w2, info, rerr := checkpoint.Recover(gdir, *walSegMB)
-				if rerr != nil {
-					return fmt.Errorf("recover group %s: %w", g, rerr)
-				}
-				st, groupWALs[g], stacks[g] = st2, w2, info.Stack
-				pols[g] = checkpoint.Policy{
-					Dir:         gdir,
-					Interval:    *ckptIval,
-					MaxWALBytes: *ckptBytes,
-					Retain:      *ckptRetain,
-				}
-				if info.CheckpointIndex > 0 {
-					log.Printf("site %d group %s loaded checkpoint %s (index %d), replayed %d wal records (skipped %d below the floor)",
-						*id, g, info.CheckpointPath, info.CheckpointIndex, info.Replayed, info.Skipped)
-				}
-			} else {
-				var rerr error
-				st, groupWALs[g], rerr = storage.RecoverSegments(gdir, *walSegMB)
-				if rerr != nil {
-					return fmt.Errorf("recover group %s: %w", g, rerr)
-				}
-			}
-			stores[g] = st
-			if st.Applied() > 0 {
-				log.Printf("site %d group %s recovered %d keys up to order index %d from %s",
-					*id, g, st.Len(), st.Applied(), gdir)
-			}
+		ckpt = checkpoint.Policy{Interval: *ckptIval, MaxWALBytes: *ckptBytes, Retain: *ckptRetain}
+	}
+	var site []durable
+	if *walPath != "" {
+		if site, err = recoverSite(&ecfg, *walPath, ring, message.SiteID(*id), *walSegMB, ckpt); err != nil {
+			return err
 		}
-		ecfg.GroupWAL = func(g message.GroupID) *storage.WAL { return groupWALs[g] }
-		ecfg.GroupInitialStore = func(g message.GroupID) *storage.Store { return stores[g] }
-		ecfg.GroupInitialStack = func(g message.GroupID) *message.StackSync { return stacks[g] }
-		if ckptEnabled {
-			ecfg.GroupCheckpoint = func(g message.GroupID) checkpoint.Policy { return pols[g] }
-		}
-	} else if *walPath != "" {
-		var st *storage.Store
-		if fi, serr := os.Stat(*walPath); serr == nil && !fi.IsDir() {
-			// Legacy single-file log: replay it (truncating any torn tail so
-			// appends resume on the valid prefix) and keep appending to the
-			// same file.
-			if ckptEnabled {
-				return fmt.Errorf("checkpointing requires a directory -wal (got file %s)", *walPath)
-			}
-			var ferr error
-			st, wal, ferr = storage.RecoverFile(*walPath)
-			if ferr != nil {
-				return fmt.Errorf("recover wal: %w", ferr)
-			}
-		} else if ckptEnabled {
-			// Checkpoint-aware recovery: load the newest valid checkpoint,
-			// replay only the WAL suffix above it, and resume the broadcast
-			// stack's frontiers from the checkpoint.
-			st2, w2, info, rerr := checkpoint.Recover(*walPath, *walSegMB)
-			if rerr != nil {
-				return fmt.Errorf("recover checkpoint+wal: %w", rerr)
-			}
-			st, wal = st2, w2
-			ecfg.InitialStack = info.Stack
-			ecfg.Checkpoint = checkpoint.Policy{
-				Dir:         *walPath,
-				Interval:    *ckptIval,
-				MaxWALBytes: *ckptBytes,
-				Retain:      *ckptRetain,
-			}
-			if info.CheckpointIndex > 0 {
-				log.Printf("site %d loaded checkpoint %s (index %d), replayed %d wal records (skipped %d below the floor)",
-					*id, info.CheckpointPath, info.CheckpointIndex, info.Replayed, info.Skipped)
-			}
-		} else {
-			// Segmented directory log (the default for new deployments):
-			// replay every segment so a restarted replica resumes from its
-			// durable state, then append to the highest segment, rotating
-			// at -wal-seg-bytes.
-			var rerr error
-			st, wal, rerr = storage.RecoverSegments(*walPath, *walSegMB)
-			if rerr != nil {
-				return fmt.Errorf("recover wal: %w", rerr)
-			}
-		}
-		if st.Applied() > 0 {
-			log.Printf("site %d recovered %d keys up to commit index %d from %s",
-				*id, st.Len(), st.Applied(), *walPath)
-		}
-		ecfg.WAL = wal
-		ecfg.InitialStore = st
-	} else if ckptEnabled {
-		return fmt.Errorf("checkpointing requires -wal")
 	}
 	var engine core.Engine
 	switch *proto {
@@ -315,30 +228,84 @@ func run() error {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("site %d shutting down", *id)
-	if len(groupWALs) > 0 {
-		// Flush every local group's open group-commit batch (releasing its
-		// deferred client acknowledgements), then stop the host — which
-		// joins the syncer — before closing the logs under it.
-		host.Do(func() { sharded.FlushPipelines() })
-		host.Close()
-		for _, g := range sharded.LocalGroups() {
-			if w := groupWALs[g]; w != nil {
-				if cerr := w.Close(); cerr != nil {
-					log.Printf("site %d group %s wal close: %v", *id, g, cerr)
-				}
-			}
-		}
-	} else if wal != nil {
-		// Flush the open group-commit batch (releasing its deferred client
+	if len(site) > 0 {
+		// Flush every open group-commit batch (releasing its deferred client
 		// acknowledgements), then stop the host — which joins the syncer —
-		// before closing the log under it.
-		host.Do(func() { engine.Pipeline().Flush() })
+		// before closing the logs under it.
+		host.Do(func() {
+			if sharded != nil {
+				sharded.FlushPipelines()
+			} else {
+				engine.Pipeline().Flush()
+			}
+		})
 		host.Close()
-		if cerr := wal.Close(); cerr != nil {
-			log.Printf("site %d wal close: %v", *id, cerr)
+		for _, d := range site {
+			if cerr := d.wal.Close(); cerr != nil {
+				log.Printf("site %d wal close: %v", *id, cerr)
+			}
 		}
 	}
 	return nil
+}
+
+// durable is one durable directory of a site, as recovered at boot.
+type durable struct {
+	wal   *storage.WAL
+	store *storage.Store
+	stack *message.StackSync
+	ckpt  checkpoint.Policy // zero when the site takes no checkpoints
+}
+
+// recoverSite reads back every durable directory the site holds and wires
+// the result into cfg: the -wal directory itself under full replication
+// (ring nil), or <wal>/g<N>/ for each of site id's groups under -shards.
+// Each goes through checkpoint.Recover — the newest valid checkpoint plus
+// the WAL suffix above it — whether or not this boot takes checkpoints,
+// since segments an earlier checkpoint covered may be gone. ckpt is the
+// checkpoint policy without its Dir, zero when this boot takes none.
+func recoverSite(cfg *core.Config, walDir string, ring *shard.Ring, id message.SiteID, segBytes int64, ckpt checkpoint.Policy) ([]durable, error) {
+	dirs := []string{walDir}
+	var groups []message.GroupID
+	if ring != nil {
+		groups, dirs = ring.SiteGroups(id), nil
+		for _, g := range groups {
+			dirs = append(dirs, filepath.Join(walDir, g.String()))
+		}
+	}
+	ds := make([]durable, len(dirs))
+	for i, dir := range dirs {
+		st, w, info, err := checkpoint.Recover(dir, segBytes)
+		if err != nil {
+			return nil, fmt.Errorf("recover %s: %w", dir, err)
+		}
+		ds[i] = durable{wal: w, store: st, stack: info.Stack}
+		if ckpt != (checkpoint.Policy{}) {
+			ds[i].ckpt = ckpt
+			ds[i].ckpt.Dir = dir
+		}
+		if info.CheckpointIndex > 0 {
+			log.Printf("%s: loaded checkpoint %s (index %d), replayed %d wal records (skipped %d below the floor)",
+				dir, info.CheckpointPath, info.CheckpointIndex, info.Replayed, info.Skipped)
+		}
+		if st.Applied() > 0 {
+			log.Printf("%s: recovered %d keys up to index %d", dir, st.Len(), st.Applied())
+		}
+	}
+	if ring == nil {
+		d := ds[0]
+		cfg.WAL, cfg.InitialStore, cfg.InitialStack, cfg.Checkpoint = d.wal, d.store, d.stack, d.ckpt
+		return ds, nil
+	}
+	byGroup := make(map[message.GroupID]durable, len(groups))
+	for i, g := range groups {
+		byGroup[g] = ds[i]
+	}
+	cfg.GroupWAL = func(g message.GroupID) *storage.WAL { return byGroup[g].wal }
+	cfg.GroupInitialStore = func(g message.GroupID) *storage.Store { return byGroup[g].store }
+	cfg.GroupInitialStack = func(g message.GroupID) *message.StackSync { return byGroup[g].stack }
+	cfg.GroupCheckpoint = func(g message.GroupID) checkpoint.Policy { return byGroup[g].ckpt }
+	return ds, nil
 }
 
 func parsePeers(s string) (map[message.SiteID]string, error) {

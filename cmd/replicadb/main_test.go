@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/livenet"
 	"repro/internal/message"
 	"repro/internal/shard"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -36,6 +36,93 @@ func TestParsePeers(t *testing.T) {
 		if _, err := parsePeers(bad); err == nil {
 			t.Fatalf("parsePeers(%q) should fail", bad)
 		}
+	}
+}
+
+// TestRestartWithoutCheckpointFlagsRecoversEveryKey: a site that took a
+// checkpoint — which truncated the log segments it covered — and restarts
+// without any -checkpoint-* flag must still come back with every key and
+// its applied index, under full replication and for a sharded group's g<N>/
+// directory alike. Replaying the surviving segments alone rebuilds only the
+// keys written after the checkpoint.
+func TestRestartWithoutCheckpointFlagsRecoversEveryKey(t *testing.T) {
+	ring, err := shard.NewRing(shard.Config{Groups: 2, RF: 2}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const segBytes, before, after = 128, 20, 3
+	for _, tc := range []struct {
+		name string
+		ring *shard.Ring
+	}{{"full", nil}, {"group", ring}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			// First life: checkpointing on, tiny segments.
+			var cfg core.Config
+			site, err := recoverSite(&cfg, dir, tc.ring, 0, segBytes, checkpoint.Policy{Interval: time.Hour, Retain: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(site) != 1 || site[0].ckpt.Dir == "" {
+				t.Fatalf("first boot recovered %d directories, policy %+v", len(site), site[0].ckpt)
+			}
+			st := site[0].store
+			commit := func(i int) {
+				if err := st.Apply(message.TxnID{Site: 0, Seq: uint64(i)},
+					[]message.KV{{Key: message.Key(fmt.Sprintf("k%02d", i)), Value: message.Value("v")}}, uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 1; i <= before; i++ {
+				commit(i)
+			}
+			cp := checkpoint.NewCheckpointer(site[0].ckpt, checkpoint.Source{
+				Capture: func() *checkpoint.Checkpoint {
+					return &checkpoint.Checkpoint{Applied: st.Applied(), Entries: st.Snapshot()}
+				},
+			}, checkpoint.Runtime{})
+			if cp.Run() == "" || cp.Stats().SegmentsTruncated == 0 {
+				t.Fatalf("checkpoint truncated nothing: %+v", cp.Stats())
+			}
+			for i := before + 1; i <= before+after; i++ {
+				commit(i)
+			}
+			if err := site[0].wal.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Second life: no checkpoint trigger flags.
+			var cfg2 core.Config
+			site, err = recoverSite(&cfg2, dir, tc.ring, 0, segBytes, checkpoint.Policy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer site[0].wal.Close()
+			got := cfg2.InitialStore
+			if tc.ring != nil {
+				got = cfg2.GroupInitialStore(0)
+			}
+			if got != site[0].store || site[0].ckpt.Enabled() {
+				t.Fatalf("restart wiring: store %p vs %p, policy %+v", got, site[0].store, site[0].ckpt)
+			}
+			if got.Len() != before+after || got.Applied() != before+after {
+				t.Fatalf("restart recovered %d keys at applied index %d, want %d at %d",
+					got.Len(), got.Applied(), before+after, before+after)
+			}
+		})
+	}
+}
+
+// TestRecoverSiteRefusesSingleFileLog: -wal naming a plain file fails the
+// boot with the command that migrates it.
+func TestRecoverSiteRefusesSingleFileLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s0.wal")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := recoverSite(&core.Config{}, path, nil, 0, 0, checkpoint.Policy{})
+	if err == nil || !strings.Contains(err.Error(), "mkdir "+path+".d && mv "+path+" "+path+".d/wal-000001.seg") {
+		t.Fatalf("err = %v, want the migration command", err)
 	}
 }
 
@@ -62,19 +149,12 @@ func newTestReplica(t *testing.T, n int) []*replica {
 		}
 		tr := trace.New(message.SiteID(i), 1<<12, h.Now)
 		h.SetTracer(tr)
-		dir := t.TempDir()
-		st, wal, info, err := checkpoint.Recover(dir, 1<<20)
-		if err != nil {
+		cfg := core.Config{CausalHeartbeat: 20 * time.Millisecond, Tracer: tr}
+		ckpt := checkpoint.Policy{Interval: 25 * time.Millisecond, Retain: 2}
+		if _, err := recoverSite(&cfg, t.TempDir(), nil, message.SiteID(i), 1<<20, ckpt); err != nil {
 			t.Fatal(err)
 		}
-		e := core.NewCausal(h, core.Config{
-			CausalHeartbeat: 20 * time.Millisecond,
-			Tracer:          tr,
-			WAL:             wal,
-			InitialStore:    st,
-			InitialStack:    info.Stack,
-			Checkpoint:      checkpoint.Policy{Dir: dir, Interval: 25 * time.Millisecond, Retain: 2},
-		})
+		e := core.NewCausal(h, cfg)
 		h.Bind(e)
 		replicas[i] = &replica{host: h, engine: e, tracer: tr, proto: "causal", sites: n}
 	}
@@ -180,8 +260,8 @@ func TestClientProtocolExecute(t *testing.T) {
 }
 
 // newShardedReplicas boots a 4-site partially replicated cluster (2 groups,
-// RF 2) the way run() wires it: per-group WAL directories recovered via the
-// checkpoint path, a ShardedEngine per site, and the client protocol on top.
+// RF 2) the way run() wires it: per-group WAL directories recovered by
+// recoverSite, a ShardedEngine per site, and the client protocol on top.
 func newShardedReplicas(t *testing.T) ([]*replica, *shard.Ring) {
 	t.Helper()
 	const n = 4
@@ -208,29 +288,12 @@ func newShardedReplicas(t *testing.T) ([]*replica, *shard.Ring) {
 		}
 		tr := trace.New(message.SiteID(i), 1<<12, h.Now)
 		h.SetTracer(tr)
-		base := t.TempDir()
-		wals := make(map[message.GroupID]*storage.WAL)
-		stores := make(map[message.GroupID]*storage.Store)
-		stacks := make(map[message.GroupID]*message.StackSync)
-		pols := make(map[message.GroupID]checkpoint.Policy)
-		for _, g := range ring.SiteGroups(message.SiteID(i)) {
-			gdir := filepath.Join(base, g.String())
-			st, w, info, err := checkpoint.Recover(gdir, 1<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stores[g], wals[g], stacks[g] = st, w, info.Stack
-			pols[g] = checkpoint.Policy{Dir: gdir, Interval: 25 * time.Millisecond, Retain: 2}
+		cfg := core.Config{Tracer: tr, Shard: scfg, GroupCommit: commitpipe.Policy{MaxBatch: 2}}
+		ckpt := checkpoint.Policy{Interval: 25 * time.Millisecond, Retain: 2}
+		if _, err := recoverSite(&cfg, t.TempDir(), ring, message.SiteID(i), 1<<20, ckpt); err != nil {
+			t.Fatal(err)
 		}
-		se, err := core.NewSharded(h, core.Config{
-			Tracer:            tr,
-			Shard:             scfg,
-			GroupWAL:          func(g message.GroupID) *storage.WAL { return wals[g] },
-			GroupInitialStore: func(g message.GroupID) *storage.Store { return stores[g] },
-			GroupInitialStack: func(g message.GroupID) *message.StackSync { return stacks[g] },
-			GroupCheckpoint:   func(g message.GroupID) checkpoint.Policy { return pols[g] },
-			GroupCommit:       commitpipe.Policy{MaxBatch: 2},
-		})
+		se, err := core.NewSharded(h, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

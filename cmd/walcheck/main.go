@@ -5,11 +5,13 @@
 // another's — lagging or resynced replicas are fine, reordered or
 // divergent ones are not), then reports per-site summaries.
 //
-// A site's log is either a single file or a segmented directory as written
-// by replicadb's group-commit WAL (wal-000001.seg, wal-000002.seg, ...):
+// A site's log is the segmented directory replicadb's -wal names
+// (wal-000001.seg, wal-000002.seg, ...):
 //
-//	walcheck site0.wal site1.wal site2.wal
 //	walcheck wal0/ wal1/ wal2/
+//
+// A single-file log from an older version is refused with the command that
+// migrates it: the file becomes the directory's first segment.
 //
 // Under partial replication a site's directory instead holds one
 // subdirectory per replication group it replicates (g0/, g1/, ...), each a
@@ -22,20 +24,22 @@
 //	walcheck wal0/ wal1/ wal2/   # where wal0/g0, wal0/g1, wal1/g0, ... exist
 //
 // A torn tail (crash between a batch's write and its completion) at the end
-// of a log — the final segment of a directory, or a single file — ends that
-// log's replay silently: that is the format working as designed. A checksum
-// mismatch, or a truncated record in a non-final segment (records missing
-// mid-log), is corruption: walcheck warns, cross-checks the valid prefix
-// anyway, and exits nonzero.
+// of a log's final segment ends that log's replay silently: that is the
+// format working as designed. A checksum mismatch, or a truncated record in
+// a non-final segment (records missing mid-log), is corruption: walcheck
+// warns, cross-checks the valid prefix anyway, and exits nonzero.
 //
-// Segmented directories may also hold checkpoint files (ckpt-*.ckpt) written
-// by internal/checkpoint. walcheck verifies each one's checksum, seeds the
-// site's version chains from the newest valid checkpoint before replaying the
-// WAL suffix above its applied index, and cross-checks that the truncated WAL
-// still meets the checkpoint (a first record more than one index above the
-// checkpoint's applied index means truncation outran durability). Orphaned
-// ckpt-*.ckpt.tmp files — a crash mid-checkpoint-write — are reported but are
-// not corruption: recovery ignores them by design.
+// A log directory may also hold checkpoint files (ckpt-*.ckpt) written by
+// internal/checkpoint. walcheck verifies each one, seeds the site's version
+// chains from the newest valid checkpoint before replaying the WAL suffix
+// above its applied index — what checkpoint.Recover does at a restart — and
+// cross-checks that the truncated WAL still meets the checkpoint (a first
+// record more than one index above the checkpoint's applied index means
+// truncation outran durability). A checkpoint in format version 1 (from
+// before checkpoints used the wire codec) is reported like corruption: no
+// restart can read it. Orphaned ckpt-*.ckpt.tmp files — a crash
+// mid-checkpoint-write — are reported but are not corruption: recovery
+// ignores them by design.
 //
 // Exit status: 0 consistent, 1 divergence, corruption, or unreadable log.
 package main
@@ -59,7 +63,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-key version chains")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: walcheck [-v] site0.wal [site1.wal ...]")
+		fmt.Fprintln(os.Stderr, "usage: walcheck [-v] wal0/ [wal1/ ...]")
 		os.Exit(1)
 	}
 	if err := runPaths(flag.Args(), *verbose); err != nil {
@@ -158,20 +162,14 @@ func runPaths(paths []string, verbose bool) error {
 	return nil
 }
 
-// checkLog replays one site's log (single file or segmented directory,
-// with optional checkpoints) into rec and prints its summary line. It
-// returns whether corruption was found; hard errors (unreadable paths)
-// abort the audit.
+// checkLog replays one site's log directory (with optional checkpoints)
+// into rec and prints its summary line. It returns whether corruption was
+// found; hard errors (missing or unreadable paths) abort the audit.
 func checkLog(path string, site message.SiteID, rec *sgraph.Recorder) (bool, error) {
-	corrupt := false
-	var floor uint64
-	var ckptNote string
-	isDir := storage.IsSegmentDir(path)
-	if isDir {
-		var ckptCorrupt bool
-		floor, ckptNote, ckptCorrupt = seedFromCheckpoint(path, site, rec)
-		corrupt = corrupt || ckptCorrupt
+	if _, err := os.Stat(path); err != nil {
+		return false, err
 	}
+	floor, ckptNote, corrupt := seedFromCheckpoint(path, site, rec)
 	var records, writes, skipped int
 	var first, last uint64
 	scan := func(r storage.Record) error {
@@ -192,21 +190,7 @@ func checkLog(path string, site message.SiteID, rec *sgraph.Recorder) (bool, err
 		}
 		return nil
 	}
-	var err error
-	if isDir {
-		err = storage.ReplaySegments(path, scan)
-	} else {
-		f, oerr := os.Open(path)
-		if oerr != nil {
-			return corrupt, oerr
-		}
-		err = storage.Replay(f, scan)
-		f.Close()
-		if err != nil {
-			err = fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	if err != nil {
+	if err := storage.ReplaySegments(path, scan); err != nil {
 		if !errors.Is(err, storage.ErrCorrupt) {
 			return corrupt, err
 		}
@@ -231,11 +215,12 @@ func checkLog(path string, site message.SiteID, rec *sgraph.Recorder) (bool, err
 }
 
 // seedFromCheckpoint audits the checkpoint files beside a segmented WAL:
-// every ckpt-*.ckpt is checksum-verified (a mismatch is corruption), orphaned
-// ckpt-*.ckpt.tmp files are reported, and the newest valid checkpoint seeds
-// the recorder with the site's retained version chains. It returns the
-// checkpoint's applied index (the replay floor), a note for the per-site
-// summary line, and whether any checkpoint file was corrupt.
+// every ckpt-*.ckpt is read (a checksum mismatch, an undecodable body or
+// format version 1 is corruption), orphaned ckpt-*.ckpt.tmp files are
+// reported, and the newest valid checkpoint seeds the recorder with the
+// site's retained version chains. It returns the checkpoint's applied index
+// (the replay floor), a note for the per-site summary line, and whether any
+// checkpoint file was unreadable.
 func seedFromCheckpoint(dir string, site message.SiteID, rec *sgraph.Recorder) (floor uint64, note string, corrupt bool) {
 	files, err := checkpoint.Files(dir)
 	if err != nil {

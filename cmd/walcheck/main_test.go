@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,19 +21,20 @@ import (
 	"repro/internal/storage"
 )
 
-// writeWAL materializes a log of the given records.
-func writeWAL(t *testing.T, path string, recs []storage.Record) {
+// writeWAL materializes a log directory of the given records.
+func writeWAL(t *testing.T, dir string, recs []storage.Record) {
 	t.Helper()
-	f, err := os.Create(path)
+	w, err := storage.OpenSegments(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	w := storage.NewWAL(f)
 	for _, r := range recs {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -64,8 +67,8 @@ func TestWalcheckConsistentAndDivergent(t *testing.T) {
 	dir := t.TempDir()
 
 	// Consistent pair: site 1 lags (prefix).
-	a := filepath.Join(dir, "a.wal")
-	b := filepath.Join(dir, "b.wal")
+	a := filepath.Join(dir, "a")
+	b := filepath.Join(dir, "b")
 	writeWAL(t, a, []storage.Record{
 		rec(1, txn(0, 1), "x", "1"),
 		rec(2, txn(1, 1), "x", "2", "y", "1"),
@@ -79,8 +82,8 @@ func TestWalcheckConsistentAndDivergent(t *testing.T) {
 	}
 
 	// Divergent pair: opposite apply orders for x.
-	c := filepath.Join(dir, "c.wal")
-	d := filepath.Join(dir, "d.wal")
+	c := filepath.Join(dir, "c")
+	d := filepath.Join(dir, "d")
 	writeWAL(t, c, []storage.Record{
 		rec(1, txn(0, 1), "x", "1"),
 		rec(2, txn(1, 1), "x", "2"),
@@ -95,8 +98,26 @@ func TestWalcheckConsistentAndDivergent(t *testing.T) {
 	}
 
 	// Unreadable path.
-	if _, err := exec.Command(bin, filepath.Join(dir, "missing.wal")).CombinedOutput(); err == nil {
-		t.Fatal("missing file accepted")
+	if _, err := exec.Command(bin, filepath.Join(dir, "missing")).CombinedOutput(); err == nil {
+		t.Fatal("missing log accepted")
+	}
+}
+
+// TestWalcheckRefusesSingleFileLog: a log that is one plain file (the
+// layout before logs were directories) is refused with the command that
+// migrates it, instead of being audited as an empty directory.
+func TestWalcheckRefusesSingleFileLog(t *testing.T) {
+	bin := buildWalcheck(t)
+	path := filepath.Join(t.TempDir(), "site0.wal")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, path).CombinedOutput()
+	if err == nil {
+		t.Fatalf("single-file log accepted:\n%s", out)
+	}
+	if !strings.Contains(string(out), "mkdir "+path+".d && mv "+path+" "+path+".d/wal-000001.seg") {
+		t.Fatalf("migration command not printed:\n%s", out)
 	}
 }
 
@@ -177,7 +198,7 @@ func TestWalcheckTornTailWithinBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A healthy peer holding the full prefix: torn site may lag, not diverge.
-	peer := filepath.Join(dir, "peer.wal")
+	peer := filepath.Join(dir, "peer")
 	writeWAL(t, peer, batch[:2])
 	out, err := exec.Command(bin, segDir, peer).CombinedOutput()
 	if err != nil {
@@ -223,7 +244,7 @@ func TestWalcheckCheckpointedDir(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	peer := filepath.Join(dir, "peer.wal")
+	peer := filepath.Join(dir, "peer")
 	writeWAL(t, peer, []storage.Record{
 		rec(1, txn(0, 1), "x", "1"),
 		rec(2, txn(1, 1), "x", "2"),
@@ -258,6 +279,29 @@ func TestWalcheckCheckpointedDir(t *testing.T) {
 	out, err = exec.Command(bin, segDir, peer).CombinedOutput()
 	if err == nil {
 		t.Fatalf("corrupt checkpoint accepted:\n%s", out)
+	}
+}
+
+// TestWalcheckFormatV1Checkpoint: a checkpoint in format version 1 — intact
+// down to its checksum — is unreadable to recovery, so walcheck reports it
+// and exits nonzero.
+func TestWalcheckFormatV1Checkpoint(t *testing.T) {
+	bin := buildWalcheck(t)
+	dir := filepath.Join(t.TempDir(), "v1")
+	writeWAL(t, dir, []storage.Record{rec(3, txn(0, 2), "y", "1")})
+	body := []byte("a version-1 body")
+	file := []byte{'r', 'p', 'C', 'K', 0, 0, 0, 1}
+	file = binary.LittleEndian.AppendUint32(file, uint32(len(body)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-0000000000000002.ckpt"), append(file, body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, dir).CombinedOutput()
+	if err == nil {
+		t.Fatalf("format-1 checkpoint accepted:\n%s", out)
+	}
+	if !strings.Contains(string(out), "format version 1") {
+		t.Fatalf("format-1 checkpoint not reported:\n%s", out)
 	}
 }
 
@@ -301,21 +345,22 @@ func TestWalcheckCorruptRecordSurfacedOnce(t *testing.T) {
 	bin := buildWalcheck(t)
 	dir := t.TempDir()
 
-	path := filepath.Join(dir, "corrupt.wal")
+	path := filepath.Join(dir, "corrupt")
 	writeWAL(t, path, []storage.Record{
 		rec(1, txn(0, 1), "x", "1"),
 		rec(2, txn(1, 1), "x", "2"),
 		rec(3, txn(0, 2), "y", "1"),
 	})
-	b, err := os.ReadFile(path)
+	seg := filepath.Join(path, "wal-000001.seg")
+	b, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b[len(b)-1] ^= 0xff // flip a bit in the last record's body
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	peer := filepath.Join(dir, "peer.wal")
+	peer := filepath.Join(dir, "peer")
 	writeWAL(t, peer, []storage.Record{
 		rec(1, txn(0, 1), "x", "1"),
 		rec(2, txn(1, 1), "x", "2"),

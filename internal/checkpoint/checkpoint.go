@@ -12,16 +12,19 @@
 // segments whose every record index is covered by the checkpoint; replay
 // after recovery skips records at or below the checkpoint's applied index,
 // which makes the crash window between rename and truncation idempotent.
+//
+// A file is a 16-byte header — the magic, the body's length and its CRC32,
+// both little-endian uint32 — followed by the body: the wire codec's
+// encoding of a message.SnapshotChunk carrying the checkpoint's fields, so
+// checkpoints and state transfers share one fuzzed, bounded decoder.
 package checkpoint
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,12 +34,25 @@ import (
 	"repro/internal/storage"
 )
 
-// ErrCorrupt is returned when a checkpoint file fails its magic, length, or
-// checksum validation.
+// ErrCorrupt is returned when a checkpoint file fails its magic, length,
+// checksum or body validation.
 var ErrCorrupt = errors.New("checkpoint: corrupt file")
 
-// magic identifies a checkpoint file ("rpCK" + format version 1).
-var magic = [8]byte{'r', 'p', 'C', 'K', 0, 0, 0, 1}
+// ErrFormat is returned for a checkpoint file written in format version 1
+// (a gob body), which this version no longer reads. It is not ErrCorrupt:
+// Latest and Recover stop at it instead of falling back, because falling
+// back would replay a log whose prefix that checkpoint truncated.
+var ErrFormat = errors.New(`checkpoint: format version 1 is no longer readable (docs/OPERATIONS.md, "Upgrading from format-1 checkpoints")`)
+
+// magic identifies a checkpoint file ("rpCK" + format version 2); magicV1
+// is the format it replaced.
+var (
+	magic   = [8]byte{'r', 'p', 'C', 'K', 0, 0, 0, 2}
+	magicV1 = [8]byte{'r', 'p', 'C', 'K', 0, 0, 0, 1}
+)
+
+// headerLen is the magic plus the body's length and checksum.
+const headerLen = 16
 
 // Checkpoint is the durable unit: the store's full state at an applied
 // commit index plus the broadcast stack's progress frontiers, so a
@@ -62,24 +78,17 @@ func filePath(dir string, idx uint64) string {
 
 // Files returns dir's completed checkpoint files in ascending applied-index
 // order.
-func Files(dir string) ([]string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(matches)
-	return matches, nil
-}
+func Files(dir string) ([]string, error) { return glob(dir, "ckpt-*.ckpt") }
 
 // TempFiles returns orphaned in-progress checkpoint files (crash
 // mid-write). Loading ignores them; walcheck reports them.
-func TempFiles(dir string) ([]string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt.tmp"))
-	if err != nil {
-		return nil, err
-	}
+func TempFiles(dir string) ([]string, error) { return glob(dir, "ckpt-*.ckpt.tmp") }
+
+// glob returns dir's files matching pattern in lexical order.
+func glob(dir, pattern string) ([]string, error) {
+	matches, err := filepath.Glob(filepath.Join(dir, pattern))
 	sort.Strings(matches)
-	return matches, nil
+	return matches, err
 }
 
 // IndexOf parses the applied index out of a checkpoint file name.
@@ -95,15 +104,12 @@ func IndexOf(path string) (uint64, error) {
 // fsync, rename into place, fsync the directory. Returns the final path
 // and the file's size in bytes.
 func Write(dir string, ck *Checkpoint) (string, int64, error) {
-	message.RegisterGob()
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(ck); err != nil {
-		return "", 0, err
-	}
-	var hdr [16]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(body.Len()))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(body.Bytes()))
+	b := make([]byte, headerLen) // length and checksum patched below
+	copy(b, magic[:])
+	b = appendBody(b, ck)
+	body := b[headerLen:]
+	binary.LittleEndian.PutUint32(b[8:12], uint32(len(body)))
+	binary.LittleEndian.PutUint32(b[12:16], crc32.ChecksumIEEE(body))
 
 	final := filePath(dir, ck.Applied)
 	tmp := final + ".tmp"
@@ -111,9 +117,7 @@ func Write(dir string, ck *Checkpoint) (string, int64, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	if _, err = f.Write(hdr[:]); err == nil {
-		_, err = f.Write(body.Bytes())
-	}
+	_, err = f.Write(b)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -131,7 +135,29 @@ func Write(dir string, ck *Checkpoint) (string, int64, error) {
 	if err := syncDir(dir); err != nil {
 		return final, 0, err
 	}
-	return final, int64(16 + body.Len()), nil
+	return final, int64(len(b)), nil
+}
+
+// appendBody appends ck's body encoding to b: a SnapshotChunk holds exactly
+// a checkpoint's fields, and the codec writes maps in key order, so equal
+// checkpoints encode to equal bytes.
+func appendBody(b []byte, ck *Checkpoint) []byte {
+	return message.AppendMessage(b, &message.SnapshotChunk{
+		Applied: ck.Applied, Entries: ck.Entries, Stack: ck.Stack, Shard: ck.Shard,
+	})
+}
+
+// decodeBody is appendBody's inverse. Every failure is ErrCorrupt.
+func decodeBody(body []byte) (*Checkpoint, error) {
+	m, err := message.DecodeMessage(body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	sc, ok := m.(*message.SnapshotChunk)
+	if !ok {
+		return nil, fmt.Errorf("%w: body is a %v, not a SnapshotChunk", ErrCorrupt, m.Kind())
+	}
+	return &Checkpoint{Applied: sc.Applied, Entries: sc.Entries, Stack: sc.Stack, Shard: sc.Shard}, nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives power loss.
@@ -149,40 +175,32 @@ func syncDir(dir string) error {
 
 // Read loads and validates one checkpoint file.
 func Read(path string) (*Checkpoint, error) {
-	message.RegisterGob()
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var hdr [16]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: short header (%v)", ErrCorrupt, err)
-	}
-	if !bytes.Equal(hdr[:8], magic[:]) {
+	switch {
+	case len(b) < headerLen:
+		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(b))
+	case bytes.Equal(b[:8], magicV1[:]):
+		return nil, ErrFormat
+	case !bytes.Equal(b[:8], magic[:]):
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	size := binary.LittleEndian.Uint32(hdr[8:12])
-	sum := binary.LittleEndian.Uint32(hdr[12:16])
-	if size > 1<<30 {
-		return nil, fmt.Errorf("%w: implausible body size %d", ErrCorrupt, size)
+	body := b[headerLen:]
+	if size := binary.LittleEndian.Uint32(b[8:12]); uint64(size) != uint64(len(body)) {
+		return nil, fmt.Errorf("%w: header says %d body bytes, file holds %d", ErrCorrupt, size, len(body))
 	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(f, body); err != nil {
-		return nil, fmt.Errorf("%w: short body (%v)", ErrCorrupt, err)
-	}
-	if crc32.ChecksumIEEE(body) != sum {
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(b[12:16]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	ck := new(Checkpoint)
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(ck); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return ck, nil
+	return decodeBody(body)
 }
 
 // Latest loads the newest valid checkpoint in dir, skipping corrupt or
 // partial files (a torn newer checkpoint falls back to the previous one).
+// Any other error, ErrFormat included, is returned: recovery must not fall
+// back past a checkpoint it cannot read for a reason other than damage.
 // Returns (nil, "", nil) when no valid checkpoint exists.
 func Latest(dir string) (*Checkpoint, string, error) {
 	files, err := Files(dir)
@@ -242,12 +260,14 @@ type RecoverInfo struct {
 	Skipped         int                    // WAL records at or below the checkpoint (overlap)
 }
 
-// Recover rebuilds a site's store from the newest valid checkpoint in dir
-// plus the WAL suffix above it, truncates any torn WAL tail, and reopens
-// the segmented log for appending. Records at or below the checkpoint's
-// applied index are skipped, which makes replay idempotent over the
-// rename-before-truncation crash window. With no valid checkpoint the
-// whole log replays (equivalent to storage.RecoverSegments).
+// Recover is the one way a site's durable state is read back: it rebuilds
+// the store from the newest valid checkpoint in dir plus the WAL suffix
+// above it, truncates any torn WAL tail, and reopens the segmented log for
+// appending. Records at or below the checkpoint's applied index are
+// skipped, which makes replay idempotent over the rename-before-truncation
+// crash window. With no checkpoint file the whole log replays. It does not
+// matter whether the restarted site will take checkpoints itself: once one
+// was taken, the segments it covered may be gone.
 func Recover(dir string, maxBytes int64) (*storage.Store, *storage.WAL, *RecoverInfo, error) {
 	info := &RecoverInfo{}
 	st := storage.New(nil) // replay must not re-log

@@ -1,10 +1,14 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -54,22 +58,44 @@ func storeAt(t *testing.T, n int) *Checkpoint {
 	return &Checkpoint{Applied: st.Applied(), Entries: st.Snapshot()}
 }
 
-func TestWriteReadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	want := &Checkpoint{
+// sampleCheckpoint sets every field a checkpoint carries, maps included, so
+// round trips and the determinism check cover the whole encoding. Empty
+// collections are nil, as the codec decodes them.
+func sampleCheckpoint() *Checkpoint {
+	return &Checkpoint{
 		Applied: 7,
 		Entries: []message.SnapshotEntry{{
 			Key:      "x",
 			Versions: []message.VersionRec{{Index: 7, Writer: txn(1, 3), Value: message.Value("v")}},
 		}},
-		Stack: &message.StackSync{CausalVC: vclock.VC{0, 4, 2}},
+		Stack: &message.StackSync{
+			CausalVC: vclock.VC{0, 4, 2},
+			FifoNext: map[message.SiteID]uint64{0: 3, 1: 9, 2: 4},
+			HighSeq: map[message.Class]map[message.SiteID]uint64{
+				message.ClassCausal: {0: 4, 2: 2},
+				message.ClassAtomic: {1: 11},
+			},
+		},
+		Shard: &message.ShardRecovery{
+			Prepared: []message.PreparedShard{{
+				Txn: txn(2, 5), Index: 6, Vote: true, Coord: 2,
+				Groups: []message.GroupID{0, 1}, Keys: []message.Key{"x"}, Writes: []message.KV{kv("x", "w")},
+			}},
+			Decided: []message.DecidedShard{{Txn: txn(0, 4), Commit: true}},
+			Fenced:  []message.TxnID{txn(1, 8)},
+		},
 	}
-	path, bytes, err := Write(dir, want)
+}
+
+func TestWriteReadRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	want := sampleCheckpoint()
+	path, size, err := Write(dir, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes <= 16 {
-		t.Fatalf("reported size %d", bytes)
+	if fi, err := os.Stat(path); err != nil || size <= headerLen || fi.Size() != size {
+		t.Fatalf("reported size %d, file %v (%v)", size, fi, err)
 	}
 	if idx, err := IndexOf(path); err != nil || idx != 7 {
 		t.Fatalf("IndexOf(%s) = %d, %v", path, idx, err)
@@ -78,15 +104,61 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Applied != 7 || len(got.Entries) != 1 || got.Entries[0].Key != "x" {
-		t.Fatalf("round trip: %+v", got)
-	}
-	if got.Stack == nil || len(got.Stack.CausalVC) != 3 || got.Stack.CausalVC[1] != 4 {
-		t.Fatalf("stack lost in round trip: %+v", got.Stack)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 	}
 	// No temp file left behind on the happy path.
 	if tmps, _ := TempFiles(dir); len(tmps) != 0 {
 		t.Fatalf("leftover temp files: %v", tmps)
+	}
+}
+
+// TestWriteIsDeterministic: the same state written twice gives
+// byte-identical files, maps included (the codec writes them in key order).
+func TestWriteIsDeterministic(t *testing.T) {
+	var files [2][]byte
+	for i := range files {
+		path, _, err := Write(t.TempDir(), sampleCheckpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("equal checkpoints wrote different bytes")
+	}
+}
+
+// TestFormatV1FailsLoudly: a checkpoint from before the codec body —
+// format version 1, well formed down to its checksum — is refused with
+// ErrFormat, not skipped as corrupt, by Read, Latest and Recover alike.
+// Falling back past it would replay a log whose prefix it truncated.
+func TestFormatV1FailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	fillWAL(t, dir, 4)
+	if _, _, err := Write(dir, storeAt(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	body := []byte("a version-1 body; its encoding does not matter")
+	v1 := make([]byte, headerLen, headerLen+len(body))
+	copy(v1, magicV1[:])
+	binary.LittleEndian.PutUint32(v1[8:12], uint32(len(body)))
+	binary.LittleEndian.PutUint32(v1[12:16], crc32.ChecksumIEEE(body))
+	path := filePath(dir, 3)
+	if err := os.WriteFile(path, append(v1, body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Read(path); !errors.Is(err, ErrFormat) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read: err = %v, want ErrFormat and not ErrCorrupt", err)
+	}
+	if ck, _, err := Latest(dir); !errors.Is(err, ErrFormat) {
+		t.Fatalf("Latest fell back to %+v (err %v), want ErrFormat", ck, err)
+	}
+	if _, _, _, err := Recover(dir, 1<<20); !errors.Is(err, ErrFormat) {
+		t.Fatalf("Recover: err = %v, want ErrFormat", err)
 	}
 }
 
@@ -186,6 +258,103 @@ func TestRecoverWithoutCheckpoint(t *testing.T) {
 	}
 	if st.WAL() != w {
 		t.Fatal("recovered store not attached to the reopened WAL")
+	}
+}
+
+// TestRecoverRoundTrip: a store written through its log comes back with
+// its version chains, and keeps logging through the reopened WAL.
+func TestRecoverRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	l, err := storage.OpenSegments(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := storage.New(l)
+	mustApply(t, s, txn(0, 1), 1, kv("x", "a"))
+	mustApply(t, s, txn(1, 1), 2, kv("y", "b"), kv("x", "c"))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, w2, _, err := Recover(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Applied() != 2 {
+		t.Fatalf("applied = %d, want 2", s2.Applied())
+	}
+	if rec, ok := s2.Get("x"); !ok || string(rec.Value) != "c" {
+		t.Fatalf("x = %+v ok=%v", rec, ok)
+	}
+	if got := s2.VersionOrder("x"); len(got) != 2 || got[0] != txn(0, 1) || got[1] != txn(1, 1) {
+		t.Fatalf("recovered chain of x = %v", got)
+	}
+	mustApply(t, s2, txn(0, 2), 3, kv("z", "d"))
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := storage.ReplaySegments(dir, func(storage.Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 {
+		t.Fatalf("replayed %d records, want 3", n)
+	}
+}
+
+// TestRecoverTruncatesTornTailBeforeAppending: a torn last record is cut
+// off before the log reopens, so what a restarted site appends survives the
+// next restart instead of hiding behind the garbage bytes.
+func TestRecoverTruncatesTornTailBeforeAppending(t *testing.T) {
+	dir := t.TempDir()
+	l, err := storage.OpenSegments(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := storage.New(l)
+	mustApply(t, s, txn(0, 1), 1, kv("x", "a"))
+	mustApply(t, s, txn(0, 2), 2, kv("y", "b"))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := storage.SegmentFiles(dir)
+	b, err := os.ReadFile(files[len(files)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[len(files)-1], b[:len(b)-5], 0o644); err != nil { // record 2 loses its tail
+		t.Fatal(err)
+	}
+
+	s2, w2, _, err := Recover(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Applied() != 1 {
+		t.Fatalf("recovered applied = %d, want 1 (torn record dropped)", s2.Applied())
+	}
+	mustApply(t, s2, txn(0, 3), 2, kv("z", "c"))
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3, w3, _, err := Recover(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w3.Close()
+	if s3.Applied() != 2 {
+		t.Fatalf("second recovery applied = %d, want 2 (post-restart commit lost)", s3.Applied())
+	}
+	if rec, ok := s3.Get("z"); !ok || string(rec.Value) != "c" {
+		t.Fatalf("post-restart commit z = %+v ok=%v", rec, ok)
+	}
+}
+
+func mustApply(t *testing.T, s *storage.Store, id message.TxnID, idx uint64, writes ...message.KV) {
+	t.Helper()
+	if err := s.Apply(id, writes, idx); err != nil {
+		t.Fatalf("apply %v@%d: %v", id, idx, err)
 	}
 }
 

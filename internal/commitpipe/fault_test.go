@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/commitpipe"
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -145,7 +146,7 @@ func TestCrashMidBatchRecoversFsyncedPrefix(t *testing.T) {
 			}
 
 			// Recovery restores exactly the replayed prefix.
-			st, w, err := storage.RecoverSegments(walDir(crashed), 0)
+			st, w, _, err := checkpoint.Recover(walDir(crashed), 0)
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}

@@ -141,7 +141,7 @@ type Config struct {
 	// WAL, when set, logs committed writes at this site.
 	WAL *storage.WAL
 	// InitialStore seeds the engine with recovered state (for example from
-	// storage.Recover after a restart) instead of an empty database. The
+	// checkpoint.Recover after a restart) instead of an empty database. The
 	// per-site commit index resumes from the store's applied index.
 	InitialStore *storage.Store
 	// MaxVersions caps stored version chains (default

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/message"
 	"repro/internal/storage"
 )
@@ -187,8 +187,11 @@ func TestViewChangeAbortsOrphans(t *testing.T) {
 func TestWALRecoveryResume(t *testing.T) {
 	for _, proto := range []string{"reliable", "causal", "baseline"} {
 		t.Run(proto, func(t *testing.T) {
-			var buf bytes.Buffer
-			wal := storage.NewWAL(&buf)
+			dir := t.TempDir()
+			wal, err := storage.OpenSegments(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg := cfgFor(proto)
 			// Only site 0 logs; the others are throwaway peers.
 			tc := newTestClusterWith(t, 3, proto, cfg, 55, func(site int, c Config) Config {
@@ -206,10 +209,14 @@ func TestWALRecoveryResume(t *testing.T) {
 
 			// "Restart": recover a fresh store from site 0's log and boot a
 			// new single-site engine around it.
-			recovered, err := storage.Recover(bytes.NewReader(buf.Bytes()), nil)
+			if err := wal.Close(); err != nil {
+				t.Fatal(err)
+			}
+			recovered, rwal, _, err := checkpoint.Recover(dir, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer rwal.Close()
 			if got, _ := recovered.Get("a"); string(got.Value) != "3" {
 				t.Fatalf("recovered a=%q", got.Value)
 			}

@@ -809,9 +809,11 @@ type ShardRecovery struct {
 	Fenced   []TxnID
 }
 
-// RegisterGob registers every concrete message type with encoding/gob, for
-// the checkpoint files that embed messages (internal/checkpoint). The TCP
-// wire does not use gob; see codec.go. Safe to call more than once.
+// RegisterGob registers every concrete message type with encoding/gob. No
+// durable or wire path uses gob any more (the TCP wire and checkpoint files
+// both use codec.go); it remains only because the benchmark's codec
+// micro-measurement still times gob, and goes when that is re-pointed at
+// AppendMessage/DecodeMessage. Safe to call more than once.
 func RegisterGob() {
 	gob.Register(&Bcast{})
 	gob.Register(&SeqOrder{})

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -188,28 +186,23 @@ func TestWALCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestRecoverRebuildsStore: replaying a store's log into an empty store
+// rebuilds its version chains — the storage half of checkpoint.Recover.
 func TestRecoverRebuildsStore(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "site0.wal")
-	f, err := os.Create(path)
+	w, err := OpenSegments(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWAL(f)
 	s := New(w)
 	mustApply(t, s, txn(0, 1), 1, kv("x", "a"))
 	mustApply(t, s, txn(0, 2), 2, kv("x", "b"), kv("y", "c"))
-	if err := f.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	rf, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
-	r, err := Recover(rf, nil)
-	if err != nil {
+	r := New(nil)
+	if err := ReplaySegments(dir, func(rec Record) error { return r.Apply(rec.Txn, rec.Writes, rec.Index) }); err != nil {
 		t.Fatal(err)
 	}
 	if r.Applied() != 2 {

@@ -39,9 +39,10 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 //     pipeline (internal/commitpipe) uses this for group commit, deferring
 //     client acknowledgements until the batch's fsync.
 //
-// A WAL opened with OpenSegments additionally rotates across fixed-size
-// segment files; records (and, in grouped mode, whole batches) never split
-// across a segment boundary.
+// On disk a log is a directory (OpenSegments) that rotates across
+// fixed-size segment files; records (and, in grouped mode, whole batches)
+// never split across a segment boundary. NewWAL logs to any writer, which
+// the caller owns.
 //
 // A WAL does no locking. A grouped log may be driven from two goroutines
 // under a fixed split of its state: the appending side (the site's event
@@ -65,8 +66,7 @@ type WAL struct {
 	spare    []byte       // a recycled batch buffer, the append buffer after the next Detach
 	appended atomic.Int64 // bytes written through write() over this WAL's lifetime
 
-	seg    *segState // non-nil for segmented logs (OpenSegments)
-	closer io.Closer // non-nil when the WAL owns its file (RecoverFile)
+	seg *segState // non-nil for segmented logs (OpenSegments)
 }
 
 // Batch is the run of encoded records one Detach took out of a grouped
@@ -163,23 +163,16 @@ func (l *WAL) Recycle(b Batch) {
 	}
 }
 
-// Close flushes buffered records and closes the backing file when the WAL
-// owns one (OpenSegments, RecoverFile). Logs created with NewWAL only flush
-// (the caller owns the writer).
+// Close flushes buffered records and closes the active segment of a log
+// opened with OpenSegments. Logs created with NewWAL only flush (the caller
+// owns the writer).
 func (l *WAL) Close() error {
 	_, err := l.Flush()
-	c := l.closer
 	if l.seg != nil {
-		c = l.seg.f
-		l.seg = nil
-	}
-	if c != nil {
-		if cerr := c.Close(); err == nil {
+		if cerr := l.seg.f.Close(); err == nil {
 			err = cerr
 		}
-		l.w = nil
-		l.Sync = nil
-		l.closer = nil
+		l.seg, l.w, l.Sync = nil, nil, nil
 	}
 	return err
 }
@@ -243,21 +236,20 @@ func segmentPath(dir string, n int) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%06d.seg", n))
 }
 
-// SegmentFiles returns the log's segment files inside dir in append order.
+// SegmentFiles returns the log's segment files inside dir in append order
+// (none when dir does not exist yet). A plain file at dir is refused with
+// the command that migrates it: a single-file log from before logs were
+// directories holds the same framed records a segment does.
 func SegmentFiles(dir string) ([]string, error) {
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		return nil, fmt.Errorf("wal: %s is a single file, but a log is a directory of segments; migrate it losslessly with: mkdir %[1]s.d && mv %[1]s %[1]s.d/wal-000001.seg", dir)
+	}
 	matches, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(matches)
 	return matches, nil
-}
-
-// IsSegmentDir reports whether path is a directory (a segmented log root,
-// as opposed to a single-file log).
-func IsSegmentDir(path string) bool {
-	fi, err := os.Stat(path)
-	return err == nil && fi.IsDir()
 }
 
 // OpenSegments opens (creating if needed) a segmented log rooted at dir for
@@ -306,15 +298,16 @@ func OpenSegments(dir string, maxBytes int64) (*WAL, error) {
 // as ErrCorrupt, as does a checksum mismatch anywhere; either way the valid
 // prefix has been delivered and replay stops.
 func ReplaySegments(dir string, fn func(Record) error) error {
-	_, _, err := replaySegments(dir, fn)
+	_, _, err := ReplaySegmentsPrefix(dir, fn)
 	return err
 }
 
-// replaySegments is ReplaySegments, additionally reporting the final
-// segment's path and the byte offset where its valid record prefix ends, so
-// recovery can truncate a torn tail before appending. lastPath is "" for an
+// ReplaySegmentsPrefix is ReplaySegments, additionally reporting the final
+// segment's path and the byte offset where its valid record prefix ends.
+// Recovery (checkpoint.Recover) passes the pair to TruncateTail to chop a
+// torn tail before reopening the log for append. lastPath is "" for an
 // empty log.
-func replaySegments(dir string, fn func(Record) error) (lastPath string, validOff int64, err error) {
+func ReplaySegmentsPrefix(dir string, fn func(Record) error) (lastPath string, validOff int64, err error) {
 	files, err := SegmentFiles(dir)
 	if err != nil {
 		return "", 0, err
@@ -341,21 +334,6 @@ func replaySegments(dir string, fn func(Record) error) (lastPath string, validOf
 		lastPath, validOff = path, off
 	}
 	return lastPath, validOff, nil
-}
-
-// ReplaySegmentsPrefix is ReplaySegments, additionally reporting the final
-// segment's path and the byte offset where its valid record prefix ends.
-// Recovery layers that replay only a log suffix (internal/checkpoint) use
-// the pair with TruncateTail to chop a torn tail before reopening for
-// append. lastPath is "" for an empty log.
-func ReplaySegmentsPrefix(dir string, fn func(Record) error) (lastPath string, validOff int64, err error) {
-	return replaySegments(dir, fn)
-}
-
-// TruncateTail chops a torn record tail off a log file, leaving the first
-// off valid bytes. A no-op when the file is already no larger than off.
-func TruncateTail(path string, off int64) error {
-	return truncateTail(path, off)
 }
 
 // TruncateSegments deletes sealed (non-final) segment files whose every
@@ -409,36 +387,12 @@ func TruncateSegments(dir string, floor uint64) (int, error) {
 	return removed, nil
 }
 
-// RecoverSegments rebuilds a store from a segmented log and reopens the log
-// for appending, so a restarted replica resumes from its durable state. Any
-// torn tail on the final segment is truncated before the log reopens. The
-// returned store logs through the returned WAL.
-func RecoverSegments(dir string, maxBytes int64) (*Store, *WAL, error) {
-	s := New(nil) // do not re-log while replaying
-	lastPath, validOff, err := replaySegments(dir, func(r Record) error {
-		return s.Apply(r.Txn, r.Writes, r.Index)
-	})
-	if err != nil {
-		return s, nil, err
-	}
-	if lastPath != "" {
-		if err := truncateTail(lastPath, validOff); err != nil {
-			return s, nil, err
-		}
-	}
-	w, err := OpenSegments(dir, maxBytes)
-	if err != nil {
-		return s, nil, err
-	}
-	s.wal = w
-	return s, w, nil
-}
-
-// truncateTail chops a torn record tail off a log file before it reopens
-// for appending. Without this, post-restart appends land after the garbage
-// bytes, and the next replay — which stops at the torn record — would
-// silently discard every record written after the restart.
-func truncateTail(path string, off int64) error {
+// TruncateTail chops a torn record tail off a log file, leaving the first
+// off valid bytes, before the log reopens for appending. Without this,
+// post-restart appends land after the garbage bytes, and the next replay —
+// which stops at the torn record — would silently discard every record
+// written after the restart. A no-op when the file is no larger than off.
+func TruncateTail(path string, off int64) error {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return err
@@ -598,56 +552,4 @@ func ReplayPrefix(rd io.Reader, fn func(Record) error) (int64, error) {
 			return off, err
 		}
 	}
-}
-
-// Recover rebuilds a store from a log, returning the recovered store. It
-// cannot truncate a torn tail (rd is just a reader); callers that will
-// append to the same file afterwards must use RecoverFile instead.
-func Recover(rd io.Reader, wal *WAL) (*Store, error) {
-	s := New(nil) // do not re-log while replaying
-	err := Replay(rd, func(r Record) error {
-		return s.Apply(r.Txn, r.Writes, r.Index)
-	})
-	s.wal = wal
-	if err != nil {
-		return s, err
-	}
-	return s, nil
-}
-
-// RecoverFile rebuilds a store from a legacy single-file log and reopens
-// the file for appending, truncating any torn tail first (the segmented
-// equivalent is RecoverSegments). The returned store logs through the
-// returned WAL, whose Close closes the file.
-func RecoverFile(path string) (*Store, *WAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := New(nil) // do not re-log while replaying
-	off, err := ReplayPrefix(f, func(r Record) error {
-		return s.Apply(r.Txn, r.Writes, r.Index)
-	})
-	if err == nil {
-		var fi os.FileInfo
-		if fi, err = f.Stat(); err == nil && fi.Size() > off {
-			if err = f.Truncate(off); err == nil {
-				err = f.Sync()
-			}
-		}
-	}
-	if err == nil {
-		// Replay may have consumed part of the torn tail; reposition writes
-		// at the end of the valid prefix.
-		_, err = f.Seek(off, io.SeekStart)
-	}
-	if err != nil {
-		f.Close()
-		return s, nil, err
-	}
-	w := NewWAL(f)
-	w.Sync = f.Sync
-	w.closer = f
-	s.wal = w
-	return s, w, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/message"
@@ -213,43 +214,6 @@ func TestOpenSegmentsResumesHighestSegment(t *testing.T) {
 	}
 }
 
-func TestRecoverSegmentsRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenSegments(dir, 0)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	s := New(l)
-	mustApply(t, s, txn(0, 1), 1, kv("x", "a"))
-	mustApply(t, s, txn(1, 1), 2, kv("y", "b"), kv("x", "c"))
-	if err := l.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	s2, w2, err := RecoverSegments(dir, 0)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if s2.Applied() != 2 {
-		t.Fatalf("applied = %d, want 2", s2.Applied())
-	}
-	if rec, ok := s2.Get("x"); !ok || string(rec.Value) != "c" {
-		t.Fatalf("x = %+v ok=%v", rec, ok)
-	}
-	// The recovered store logs through the reopened WAL.
-	mustApply(t, s2, txn(0, 2), 3, kv("z", "d"))
-	if err := w2.Close(); err != nil {
-		t.Fatalf("close recovered wal: %v", err)
-	}
-	n := 0
-	if err := ReplaySegments(dir, func(Record) error { n++; return nil }); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if n != 3 {
-		t.Fatalf("replayed %d records, want 3", n)
-	}
-}
-
 // tearTail rewrites path with its last n bytes removed, leaving a torn
 // record as a crash between a batch's write and its completion would.
 func tearTail(t *testing.T, path string, n int) {
@@ -263,90 +227,6 @@ func tearTail(t *testing.T, path string, n int) {
 	}
 	if err := os.WriteFile(path, b[:len(b)-n], 0o644); err != nil {
 		t.Fatalf("tear %s: %v", path, err)
-	}
-}
-
-func TestRecoverSegmentsTruncatesTornTailBeforeAppending(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenSegments(dir, 0)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	s := New(l)
-	mustApply(t, s, txn(0, 1), 1, kv("x", "a"))
-	mustApply(t, s, txn(0, 2), 2, kv("y", "b"))
-	if err := l.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	files, _ := SegmentFiles(dir)
-	tearTail(t, files[len(files)-1], 5) // record 2 loses its tail
-
-	// First restart: only the valid prefix survives, and new commits append.
-	s2, w2, err := RecoverSegments(dir, 0)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if s2.Applied() != 1 {
-		t.Fatalf("recovered applied = %d, want 1 (torn record dropped)", s2.Applied())
-	}
-	mustApply(t, s2, txn(0, 3), 2, kv("z", "c"))
-	if err := w2.Close(); err != nil {
-		t.Fatalf("close recovered wal: %v", err)
-	}
-
-	// Second restart: without tail truncation the post-restart append would
-	// sit behind the garbage bytes and silently vanish here.
-	s3, w3, err := RecoverSegments(dir, 0)
-	if err != nil {
-		t.Fatalf("second recover: %v", err)
-	}
-	defer w3.Close()
-	if s3.Applied() != 2 {
-		t.Fatalf("second recovery applied = %d, want 2 (post-restart commit lost)", s3.Applied())
-	}
-	if rec, ok := s3.Get("z"); !ok || string(rec.Value) != "c" {
-		t.Fatalf("post-restart commit z = %+v ok=%v", rec, ok)
-	}
-}
-
-func TestRecoverFileTruncatesTornTailBeforeAppending(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	l := NewWAL(f)
-	l.Sync = f.Sync
-	s := New(l)
-	mustApply(t, s, txn(0, 1), 1, kv("x", "a"))
-	mustApply(t, s, txn(0, 2), 2, kv("y", "b"))
-	if err := f.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	tearTail(t, path, 5)
-
-	s2, w2, err := RecoverFile(path)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if s2.Applied() != 1 {
-		t.Fatalf("recovered applied = %d, want 1", s2.Applied())
-	}
-	mustApply(t, s2, txn(0, 3), 2, kv("z", "c"))
-	if err := w2.Close(); err != nil {
-		t.Fatalf("close recovered wal: %v", err)
-	}
-
-	s3, w3, err := RecoverFile(path)
-	if err != nil {
-		t.Fatalf("second recover: %v", err)
-	}
-	defer w3.Close()
-	if s3.Applied() != 2 {
-		t.Fatalf("second recovery applied = %d, want 2 (post-restart commit lost)", s3.Applied())
-	}
-	if rec, ok := s3.Get("z"); !ok || string(rec.Value) != "c" {
-		t.Fatalf("post-restart commit z = %+v ok=%v", rec, ok)
 	}
 }
 
@@ -415,20 +295,45 @@ func TestReplaySegmentsSurfacesCorruption(t *testing.T) {
 	}
 }
 
-func TestIsSegmentDir(t *testing.T) {
-	dir := t.TempDir()
-	if !IsSegmentDir(dir) {
-		t.Fatal("directory not recognized")
-	}
-	file := filepath.Join(dir, "wal.log")
-	if err := os.WriteFile(file, nil, 0o644); err != nil {
+// TestSingleFileLogMigratesToSegment: a log written as one plain file is
+// refused with the migration command, and doing what it says — the file
+// becomes the directory's first segment — replays every record.
+func TestSingleFileLogMigratesToSegment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "site0.wal")
+	f, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if IsSegmentDir(file) {
-		t.Fatal("plain file recognized as segment dir")
+	l := NewWAL(f)
+	for i := 1; i <= 3; i++ {
+		if err := l.Append(Record{Index: uint64(i), Txn: txn(0, i), Writes: []message.KV{kv("k", fmt.Sprintf("v%d", i))}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if IsSegmentDir(filepath.Join(dir, "missing")) {
-		t.Fatal("missing path recognized as segment dir")
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = ReplaySegments(path, func(Record) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "mkdir "+path+".d && mv "+path+" "+path+".d/wal-000001.seg") {
+		t.Fatalf("plain file err = %v, want the migration command", err)
+	}
+	if _, err := OpenSegments(path, 0); err == nil {
+		t.Fatal("OpenSegments appended to a plain file")
+	}
+
+	dir := path + ".d"
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path, filepath.Join(dir, "wal-000001.seg")); err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	if err := ReplaySegments(dir, func(r Record) error { got = append(got, r.Index); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[2] != 3 {
+		t.Fatalf("migrated log replayed indexes %v, want 1..3", got)
 	}
 }
 
