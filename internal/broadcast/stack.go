@@ -101,12 +101,13 @@ type Stack struct {
 	rt  env.Runtime
 	cfg Config
 
-	sendSeq map[message.Class]uint64
-	seen    map[dedupKey]bool
-	// highSeq tracks the highest broadcast sequence seen per class and
-	// origin, exported in state transfers so a restarted origin resumes its
-	// numbering instead of reusing sequences its peers will discard.
-	highSeq map[message.Class]map[message.SiteID]uint64
+	// classes holds each broadcast class's sequence state, indexed by
+	// message.Class: this site's send counter and one dedup window per
+	// origin heard from.
+	classes [message.ClassAtomic + 1]classSeqs
+	// window is how many sequence numbers below its top an origin's dedup
+	// window tracks (a multiple of 64).
+	window uint64
 
 	// FIFO: next expected per-origin sequence and held-back messages.
 	fifoNext map[message.SiteID]uint64
@@ -143,10 +144,30 @@ type Stack struct {
 	HistoryRetention int
 }
 
-type dedupKey struct {
-	class  message.Class
+// classSeqs is one broadcast class's sequence state at this site.
+type classSeqs struct {
+	sendSeq uint64
+	origins []originSeqs
+}
+
+// originSeqs is what one site knows of an origin's sequence numbers in one
+// class. It enforces reliable broadcast's integrity (deliver at most once)
+// with the anti-replay window of RFC 4303 §3.4.3 / RFC 6479: top is the
+// highest sequence number received and seen flags the ones received in
+// (top-W, top], at bit seq mod W. A number above top is new and slides the
+// window up; one inside it is new if its bit is clear; one W or more below
+// top is taken as already seen, the only decision that differs from
+// remembering every number ever received. high is the highest number
+// noted, duplicates and state transfers included: exported in
+// StackSync.HighSeq so a restarted origin resumes its numbering instead of
+// reusing numbers its peers will discard. ImportSync may raise it without
+// moving the window, so the undelivered messages a transfer replays are
+// still accepted.
+type originSeqs struct {
 	origin message.SiteID
-	seq    uint64
+	top    uint64
+	high   uint64
+	seen   []uint64
 }
 
 type pair struct {
@@ -188,9 +209,6 @@ func New(rt env.Runtime, cfg Config) *Stack {
 	s := &Stack{
 		rt:         rt,
 		cfg:        cfg,
-		sendSeq:    make(map[message.Class]uint64),
-		seen:       make(map[dedupKey]bool),
-		highSeq:    make(map[message.Class]map[message.SiteID]uint64),
 		fifoNext:   make(map[message.SiteID]uint64),
 		fifoHold:   make(map[message.SiteID]map[uint64]heldBcast),
 		cvc:        vclock.New(n),
@@ -207,6 +225,9 @@ func New(rt env.Runtime, cfg Config) *Stack {
 	if cfg.HistoryRetention > 0 {
 		s.HistoryRetention = cfg.HistoryRetention
 	}
+	// The dedup window spans at least the retransmission history, so a
+	// resent message is judged by its bit, not by distance.
+	s.window = uint64(max(8192, s.HistoryRetention)+63) &^ 63
 	s.isis = newIsisState(s)
 	s.batch = newBatchState(s)
 	return s
@@ -233,14 +254,15 @@ func (s *Stack) Sequencer() message.SiteID {
 // assigned to the message, which the causal replication protocol uses to
 // match implicit acknowledgements.
 func (s *Stack) Broadcast(class message.Class, payload message.Message) uint64 {
-	s.sendSeq[class]++
-	seq := s.sendSeq[class]
+	c := &s.classes[class]
+	c.sendSeq++
+	seq := c.sendSeq
 	b := &message.Bcast{Class: class, Origin: s.rt.ID(), Seq: seq, Payload: payload}
 	if id, ok := message.TxnOf(payload); ok {
 		b.Trace = id
 	}
 	s.cfg.Tracer.Point(b.Trace, trace.KindBcastSend, seq, s.rt.ID(), int64(class))
-	s.noteSeq(class, b.Origin, seq)
+	s.originSeqs(c, b.Origin).admit(seq)
 	if class == message.ClassCausal {
 		// Stamp with the sender's causal history: entries for peers reflect
 		// deliveries, the own entry is the send sequence number.
@@ -248,7 +270,6 @@ func (s *Stack) Broadcast(class message.Class, payload message.Message) uint64 {
 		vc = vc.Set(int(s.rt.ID()), seq)
 		b.VC = vc
 	}
-	s.seen[dedupKey{class, b.Origin, seq}] = true
 	for _, p := range s.rt.Peers() {
 		if p == s.rt.ID() {
 			continue
@@ -294,12 +315,13 @@ func Handles(m message.Message) bool {
 }
 
 func (s *Stack) handleBcast(from message.SiteID, b *message.Bcast) {
-	s.noteSeq(b.Class, b.Origin, b.Seq)
-	k := dedupKey{b.Class, b.Origin, b.Seq}
-	if s.seen[k] {
+	if b.Class < message.ClassReliable || b.Class > message.ClassAtomic {
+		s.rt.Logf("broadcast: unknown class %v", b.Class)
 		return
 	}
-	s.seen[k] = true
+	if !s.originSeqs(&s.classes[b.Class], b.Origin).admit(b.Seq) {
+		return
+	}
 	if s.cfg.Relay && !b.Relayed {
 		relay := *b
 		relay.Relayed = true
@@ -319,9 +341,48 @@ func (s *Stack) handleBcast(from message.SiteID, b *message.Bcast) {
 		s.acceptCausal(b)
 	case message.ClassAtomic:
 		s.acceptAtomic(b)
-	default:
-		s.rt.Logf("broadcast: unknown class %v", b.Class)
 	}
+}
+
+// originSeqs returns class c's sequence state for origin, creating it on
+// first contact: a linear scan, as a class hears from a handful of sites.
+func (s *Stack) originSeqs(c *classSeqs, origin message.SiteID) *originSeqs {
+	for i := range c.origins {
+		if c.origins[i].origin == origin {
+			return &c.origins[i]
+		}
+	}
+	c.origins = append(c.origins, originSeqs{origin: origin, seen: make([]uint64, s.window/64)})
+	return &c.origins[len(c.origins)-1]
+}
+
+// admit notes seq and reports whether it is new, marking it seen. It runs
+// once per broadcast sent or received and allocates nothing;
+// TestHandleBcastAllocs pins the path around it.
+//
+// reprolint:noalloc
+func (o *originSeqs) admit(seq uint64) bool {
+	if seq > o.high {
+		o.high = seq
+	}
+	w := uint64(len(o.seen)) * 64
+	switch {
+	case seq > o.top:
+		if seq-o.top >= w {
+			clear(o.seen)
+		} else {
+			for n := o.top + 1; n < seq; n++ {
+				o.seen[n%w/64] &^= 1 << (n % 64)
+			}
+		}
+		o.top = seq
+	case o.top-seq >= w:
+		return false // too far behind to tell: taken as seen
+	case o.seen[seq%w/64]&(1<<(seq%64)) != 0:
+		return false
+	}
+	o.seen[seq%w/64] |= 1 << (seq % 64)
+	return true
 }
 
 // deliverLocal delivers the origin's own broadcast immediately.
@@ -572,10 +633,9 @@ func (s *Stack) Retransmit(to message.SiteID, from uint64) int {
 		relay := *b
 		relay.Relayed = true
 		s.rt.Send(to, &relay)
-		s.rt.Send(to, &message.SeqOrder{
-			Sequencer: s.rt.ID(),
-			Entries:   []message.OrderEntry{{Origin: b.Origin, Seq: b.Seq, Index: idx}},
-		})
+		ord := message.NewSeqOrder(s.rt.ID(), 1)
+		ord.Entries = append(ord.Entries, message.OrderEntry{Origin: b.Origin, Seq: b.Seq, Index: idx})
+		s.rt.Send(to, ord)
 		n++
 	}
 	return n
@@ -602,20 +662,6 @@ func (s *Stack) NextAtomicIndex() uint64 { return s.anext }
 
 // --- State transfer -------------------------------------------------------
 
-// noteSeq records the highest broadcast sequence seen from an origin. It
-// runs before deduplication: duplicates still carry authoritative sequence
-// numbers.
-func (s *Stack) noteSeq(class message.Class, origin message.SiteID, seq uint64) {
-	m := s.highSeq[class]
-	if m == nil {
-		m = make(map[message.SiteID]uint64)
-		s.highSeq[class] = m
-	}
-	if seq > m[origin] {
-		m[origin] = seq
-	}
-}
-
 // ExportSync captures this stack's delivery frontiers and undelivered
 // buffers for a state transfer. The held messages are sorted so the export
 // is deterministic.
@@ -623,17 +669,23 @@ func (s *Stack) ExportSync() *message.StackSync {
 	sync := &message.StackSync{
 		CausalVC: s.cvc.Clone(),
 		FifoNext: make(map[message.SiteID]uint64, len(s.fifoNext)),
-		HighSeq:  make(map[message.Class]map[message.SiteID]uint64, len(s.highSeq)),
+		HighSeq:  make(map[message.Class]map[message.SiteID]uint64),
 	}
 	for o, n := range s.fifoNext {
 		sync.FifoNext[o] = n
 	}
-	for c, m := range s.highSeq {
-		cp := make(map[message.SiteID]uint64, len(m))
-		for o, n := range m {
-			cp[o] = n
+	for c := range s.classes {
+		origins := s.classes[c].origins
+		if len(origins) == 0 {
+			continue
 		}
-		sync.HighSeq[c] = cp
+		m := make(map[message.SiteID]uint64, len(origins))
+		for _, o := range origins {
+			if o.high > 0 {
+				m[o.origin] = o.high
+			}
+		}
+		sync.HighSeq[message.Class(c)] = m
 	}
 	var held []*message.Bcast
 	for _, h := range s.cpend {
@@ -683,17 +735,23 @@ func (s *Stack) ImportSync(sync *message.StackSync) {
 	}
 	self := s.rt.ID()
 	for c, m := range sync.HighSeq {
-		for o, n := range m {
-			s.noteSeq(c, o, n)
+		if c < message.ClassReliable || c > message.ClassAtomic {
+			continue
 		}
-		if n := m[self]; n > s.sendSeq[c] {
-			s.sendSeq[c] = n
+		cs := &s.classes[c]
+		for o, n := range m {
+			if seqs := s.originSeqs(cs, o); n > seqs.high {
+				seqs.high = n
+			}
+		}
+		if n := m[self]; n > cs.sendSeq {
+			cs.sendSeq = n
 		}
 	}
 	// The causal clock's own entry counts this site's sends too: peers have
 	// delivered that many of our causal broadcasts.
-	if n := sync.CausalVC.Get(int(self)); n > s.sendSeq[message.ClassCausal] {
-		s.sendSeq[message.ClassCausal] = n
+	if n := sync.CausalVC.Get(int(self)); n > s.classes[message.ClassCausal].sendSeq {
+		s.classes[message.ClassCausal].sendSeq = n
 	}
 	for _, b := range sync.Held {
 		replay := *b
