@@ -11,6 +11,7 @@ import (
 	"repro/internal/message"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/vclock"
 )
 
 // handRT is a simulator site's runtime whose sends are kept in a list
@@ -132,27 +133,43 @@ func TestDedupWindowMatchesExactModel(t *testing.T) {
 
 // TestDedupImportSyncReplaysHeld: a state transfer raises HighSeq above
 // messages it also hands over as held; the replays are new to the window
-// and must be accepted, or a FIFO stream would wait for them forever.
+// and must be accepted, or a causal stream would wait for them forever.
 func TestDedupImportSyncReplaysHeld(t *testing.T) {
 	var got []uint64
 	st := New(newHandRT(), Config{Deliver: func(d Delivery) { got = append(got, d.Seq) }})
-	fifo := func(seq uint64) *message.Bcast {
-		return &message.Bcast{Class: message.ClassFIFO, Origin: 1, Seq: seq}
+	causal := func(seq uint64) *message.Bcast {
+		return &message.Bcast{Class: message.ClassCausal, Origin: 1, Seq: seq, VC: vclock.VC{0, seq, 0}}
 	}
 	st.ImportSync(&message.StackSync{
-		FifoNext: map[message.SiteID]uint64{1: 98},
-		HighSeq:  map[message.Class]map[message.SiteID]uint64{message.ClassFIFO: {1: 100}},
-		Held:     []*message.Bcast{fifo(99), fifo(100)},
+		CausalVC: vclock.VC{0, 97, 0},
+		HighSeq:  map[message.Class]map[message.SiteID]uint64{message.ClassCausal: {1: 100}},
+		Held:     []*message.Bcast{causal(99), causal(100)},
 	})
 	if len(got) != 0 {
 		t.Fatalf("delivered %v before seq 98 arrived", got)
 	}
-	st.Handle(1, fifo(98))
+	st.Handle(1, causal(98))
 	if want := []uint64{98, 99, 100}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("delivered %v, want %v: the held replays were dropped", got, want)
 	}
-	if hs := st.ExportSync().HighSeq[message.ClassFIFO][1]; hs != 100 {
+	if hs := st.ExportSync().HighSeq[message.ClassCausal][1]; hs != 100 {
 		t.Fatalf("exported HighSeq %d, want 100", hs)
+	}
+}
+
+// TestRetiredClassDropped: class 2, the retired FIFO class, is reserved on
+// the wire; a broadcast or a transferred frontier naming it is dropped like
+// any unknown class's.
+func TestRetiredClassDropped(t *testing.T) {
+	delivered := 0
+	st, _ := handStack(Config{}, &delivered)
+	st.Handle(1, &message.Bcast{Class: 2, Origin: 1, Seq: 1, Payload: &message.Heartbeat{From: 1}})
+	st.ImportSync(&message.StackSync{HighSeq: map[message.Class]map[message.SiteID]uint64{2: {1: 9}}})
+	if delivered != 0 {
+		t.Fatalf("delivered %d broadcasts of the retired class", delivered)
+	}
+	if hs := st.ExportSync().HighSeq; len(hs) != 0 {
+		t.Fatalf("exported HighSeq %v, want none", hs)
 	}
 }
 

@@ -4,7 +4,6 @@
 //   - reliable broadcast — validity, agreement, integrity; no ordering
 //     across senders (optionally with eager relay to mask sender failure
 //     and message loss),
-//   - FIFO broadcast — per-sender delivery order,
 //   - causal broadcast — delivery respects potential causality, and the
 //     vector clocks are exposed to the application (the causal replication
 //     protocol mines them for implicit acknowledgements),
@@ -78,8 +77,7 @@ type Config struct {
 	// and the ISIS proposal quorum follow it. Defaults to all peers.
 	Members func() []message.SiteID
 	// Tracer, when non-nil, records the primitive's internal rounds
-	// (send/deliver, FIFO and causal holds, sequencer and ISIS ordering)
-	// as spans.
+	// (send/deliver, causal holds, sequencer and ISIS ordering) as spans.
 	Tracer *trace.Tracer
 
 	// BatchWindow bounds how long the batch orderer's leader holds an open
@@ -108,10 +106,6 @@ type Stack struct {
 	// window is how many sequence numbers below its top an origin's dedup
 	// window tracks (a multiple of 64).
 	window uint64
-
-	// FIFO: next expected per-origin sequence and held-back messages.
-	fifoNext map[message.SiteID]uint64
-	fifoHold map[message.SiteID]map[uint64]heldBcast
 
 	// Causal: delivered-count vector and pending queue.
 	cvc   vclock.VC
@@ -209,8 +203,6 @@ func New(rt env.Runtime, cfg Config) *Stack {
 	s := &Stack{
 		rt:         rt,
 		cfg:        cfg,
-		fifoNext:   make(map[message.SiteID]uint64),
-		fifoHold:   make(map[message.SiteID]map[uint64]heldBcast),
 		cvc:        vclock.New(n),
 		apayload:   make(map[pair]*message.Bcast),
 		aorder:     make(map[uint64]pair),
@@ -281,7 +273,7 @@ func (s *Stack) Broadcast(class message.Class, payload message.Message) uint64 {
 		s.acceptAtomic(b)
 	default:
 		// Local delivery is immediate: the origin's own message trivially
-		// satisfies reliable, FIFO, and causal delivery conditions.
+		// satisfies reliable and causal delivery conditions.
 		s.deliverLocal(b)
 	}
 	return seq
@@ -315,7 +307,7 @@ func Handles(m message.Message) bool {
 }
 
 func (s *Stack) handleBcast(from message.SiteID, b *message.Bcast) {
-	if b.Class < message.ClassReliable || b.Class > message.ClassAtomic {
+	if !knownClass(b.Class) {
 		s.rt.Logf("broadcast: unknown class %v", b.Class)
 		return
 	}
@@ -335,13 +327,18 @@ func (s *Stack) handleBcast(from message.SiteID, b *message.Bcast) {
 	switch b.Class {
 	case message.ClassReliable:
 		s.deliver(Delivery{Class: b.Class, Origin: b.Origin, Seq: b.Seq, Payload: b.Payload, Trace: b.Trace})
-	case message.ClassFIFO:
-		s.acceptFIFO(b)
 	case message.ClassCausal:
 		s.acceptCausal(b)
 	case message.ClassAtomic:
 		s.acceptAtomic(b)
 	}
+}
+
+// knownClass reports whether the stack implements class c. Class 2, the
+// retired FIFO class, stays reserved on the wire and is dropped like any
+// unknown class.
+func knownClass(c message.Class) bool {
+	return c == message.ClassReliable || c == message.ClassCausal || c == message.ClassAtomic
 }
 
 // originSeqs returns class c's sequence state for origin, creating it on
@@ -390,8 +387,6 @@ func (s *Stack) deliverLocal(b *message.Bcast) {
 	switch b.Class {
 	case message.ClassReliable:
 		s.deliver(Delivery{Class: b.Class, Origin: b.Origin, Seq: b.Seq, Payload: b.Payload, Trace: b.Trace})
-	case message.ClassFIFO:
-		s.acceptFIFO(b)
 	case message.ClassCausal:
 		s.acceptCausal(b)
 	}
@@ -401,43 +396,6 @@ func (s *Stack) deliver(d Delivery) {
 	s.Deliveries[d.Class]++
 	s.cfg.Tracer.Point(d.Trace, trace.KindBcastDeliver, d.Seq, d.Origin, int64(d.Class))
 	s.cfg.Deliver(d)
-}
-
-// --- FIFO ----------------------------------------------------------------
-
-func (s *Stack) acceptFIFO(b *message.Bcast) {
-	next, ok := s.fifoNext[b.Origin]
-	if !ok {
-		next = 1
-	}
-	if b.Seq < next {
-		return // duplicate
-	}
-	if b.Seq > next {
-		hold := s.fifoHold[b.Origin]
-		if hold == nil {
-			hold = make(map[uint64]heldBcast)
-			s.fifoHold[b.Origin] = hold
-		}
-		hold[b.Seq] = heldBcast{b: b, at: s.cfg.Tracer.Now(), waited: true}
-		return
-	}
-	cur := heldBcast{b: b}
-	for {
-		if cur.waited {
-			s.cfg.Tracer.Interval(cur.b.Trace, trace.KindFifoHold, cur.at, cur.b.Seq, cur.b.Origin, 0)
-		}
-		s.deliver(Delivery{Class: message.ClassFIFO, Origin: cur.b.Origin, Seq: cur.b.Seq, Payload: cur.b.Payload, Trace: cur.b.Trace})
-		next = cur.b.Seq + 1
-		s.fifoNext[cur.b.Origin] = next
-		hold := s.fifoHold[cur.b.Origin]
-		nb, ok := hold[next]
-		if !ok {
-			return
-		}
-		delete(hold, next)
-		cur = nb
-	}
 }
 
 // --- Causal ---------------------------------------------------------------
@@ -668,11 +626,7 @@ func (s *Stack) NextAtomicIndex() uint64 { return s.anext }
 func (s *Stack) ExportSync() *message.StackSync {
 	sync := &message.StackSync{
 		CausalVC: s.cvc.Clone(),
-		FifoNext: make(map[message.SiteID]uint64, len(s.fifoNext)),
 		HighSeq:  make(map[message.Class]map[message.SiteID]uint64),
-	}
-	for o, n := range s.fifoNext {
-		sync.FifoNext[o] = n
 	}
 	for c := range s.classes {
 		origins := s.classes[c].origins
@@ -690,11 +644,6 @@ func (s *Stack) ExportSync() *message.StackSync {
 	var held []*message.Bcast
 	for _, h := range s.cpend {
 		held = append(held, h.b)
-	}
-	for _, hold := range s.fifoHold {
-		for _, h := range hold {
-			held = append(held, h.b)
-		}
 	}
 	for _, b := range s.apayload {
 		held = append(held, b)
@@ -728,14 +677,9 @@ func (s *Stack) ImportSync(sync *message.StackSync) {
 			s.cvc = s.cvc.Set(i, v)
 		}
 	}
-	for o, n := range sync.FifoNext {
-		if n > s.fifoNext[o] {
-			s.fifoNext[o] = n
-		}
-	}
 	self := s.rt.ID()
 	for c, m := range sync.HighSeq {
-		if c < message.ClassReliable || c > message.ClassAtomic {
+		if !knownClass(c) {
 			continue
 		}
 		cs := &s.classes[c]

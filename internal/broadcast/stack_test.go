@@ -156,32 +156,6 @@ func TestReliableRelayMasksLoss(t *testing.T) {
 	}
 }
 
-func TestFIFOPerSenderOrder(t *testing.T) {
-	const n, per = 4, 50
-	c, nodes := makeCluster(t, n, netsim.Uniform{Min: time.Millisecond, Max: 20 * time.Millisecond}, AtomicSequencer, false, 3)
-	for s := 0; s < n; s++ {
-		s := s
-		c.Schedule(0, func() {
-			for i := 1; i <= per; i++ {
-				nodes[s].st.Broadcast(message.ClassFIFO, payload(s, i))
-			}
-		})
-	}
-	runIdle(t, c)
-	for si, node := range nodes {
-		if len(node.got) != n*per {
-			t.Fatalf("site %d delivered %d, want %d", si, len(node.got), n*per)
-		}
-		last := make(map[message.SiteID]uint64)
-		for _, d := range node.got {
-			if d.Seq != last[d.Origin]+1 {
-				t.Fatalf("site %d: out of order from %v: got seq %d after %d", si, d.Origin, d.Seq, last[d.Origin])
-			}
-			last[d.Origin] = d.Seq
-		}
-	}
-}
-
 // TestCausalChain builds an explicit causal chain across sites: site k
 // broadcasts its message only after delivering site k-1's. Every site must
 // deliver the chain in order even though network latencies would reorder

@@ -70,7 +70,6 @@ func sampleCheckpoint() *Checkpoint {
 		}},
 		Stack: &message.StackSync{
 			CausalVC: vclock.VC{0, 4, 2},
-			FifoNext: map[message.SiteID]uint64{0: 3, 1: 9, 2: 4},
 			HighSeq: map[message.Class]map[message.SiteID]uint64{
 				message.ClassCausal: {0: 4, 2: 2},
 				message.ClassAtomic: {1: 11},

@@ -72,7 +72,6 @@ func TestCrashMidBatchRecoversFsyncedPrefix(t *testing.T) {
 			}
 			var wals []*storage.WAL
 			ecfg := core.Config{}
-			ecfg.Membership = true
 			ecfg.FailureInterval = 50 * time.Millisecond
 			ecfg.FailureTimeout = 250 * time.Millisecond
 			if proto == harness.ProtoCausal {

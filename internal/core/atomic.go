@@ -1,12 +1,10 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/broadcast"
 	"repro/internal/env"
-	"repro/internal/membership"
 	"repro/internal/message"
 	"repro/internal/trace"
 )
@@ -62,17 +60,16 @@ func NewAtomic(rt env.Runtime, cfg Config) *AtomicEngine {
 		export:    func() carriage { return carriage{Pending: e.clonePending()} },
 		installed: e.adoptPending,
 	}
-	e.initMembership(func(_, _ message.View) { e.onViewChange() })
+	e.initViews(func(_, _ message.View) { e.onViewChange() })
 	e.open(e.deliver, cfg.Checkpoint, cfg.InitialStack)
-	b.ckpt = e.ckpt // the site's checkpointer (Checkpointer, startCheckpoint) is the group's
+	b.ckpt = e.ckpt // the site's checkpointer (Checkpointer, start) is the group's
 	return e
 }
 
 // Start implements env.Node.
 func (e *AtomicEngine) Start() {
-	e.startMembership()
-	e.startCheckpoint()
-	if e.cfg.Membership {
+	e.start()
+	if e.det != nil {
 		e.rt.SetTimer(e.probeInterval(), e.gapProbe)
 	}
 }
@@ -123,16 +120,11 @@ func (e *AtomicEngine) checkCertStall() {
 
 // Receive implements env.Node.
 func (e *AtomicEngine) Receive(from message.SiteID, m message.Message) {
-	e.observe(from)
 	switch {
+	case e.receiveFailure(from, m):
+		// Liveness and view changes, handled.
 	case e.receive(from, m):
 		// The group's own traffic: stack, state transfer, gap repair.
-	case membership.Handles(m):
-		if e.mem != nil {
-			e.mem.Handle(from, m)
-		}
-	case m.Kind() == message.KindHeartbeat:
-		// Liveness only.
 	default:
 		e.rt.Logf("atomic: unexpected %v from %v", m.Kind(), from)
 	}
@@ -326,7 +318,7 @@ func (e *AtomicEngine) onViewChange() {
 	e.stack.OnViewChange()
 	if !e.inPrimary() {
 		e.stale = true
-		for _, tx := range e.localTxns() {
+		for _, tx := range sortedTxns(e.local) {
 			if tx.state == txActive {
 				e.finish(tx, Aborted, ReasonNotPrimary)
 			}
@@ -406,15 +398,6 @@ func (e *AtomicEngine) adoptPending(c carriage, transfer bool) func() {
 	e.syncPending = false
 	e.lastStall = 0
 	return nil
-}
-
-func (e *AtomicEngine) localTxns() []*Tx {
-	out := make([]*Tx, 0, len(e.local))
-	for _, tx := range e.local {
-		out = append(out, tx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
-	return out
 }
 
 // CertIndex exposes the last processed total-order index (tests, tools).

@@ -33,22 +33,21 @@ func NewBaseline(rt env.Runtime, cfg Config) *BaselineEngine {
 		base:   newBase(rt, cfg, "baseline"),
 		remote: make(map[message.TxnID]*rtxnB),
 	}
-	// The baseline runs without the broadcast stack; membership is still
+	// The baseline runs without the broadcast stack; views are still
 	// available for failure experiments.
-	e.initMembership(func(_, _ message.View) {})
+	e.initViews(nil)
 	e.initCheckpoint(nil)
 	return e
 }
 
 // Start implements env.Node.
-func (e *BaselineEngine) Start() {
-	e.startMembership()
-	e.startCheckpoint()
-}
+func (e *BaselineEngine) Start() { e.start() }
 
 // Receive implements env.Node.
 func (e *BaselineEngine) Receive(from message.SiteID, m message.Message) {
-	e.observe(from)
+	if e.receiveFailure(from, m) {
+		return
+	}
 	switch t := m.(type) {
 	case *message.UWrite:
 		e.onUWrite(t)
@@ -62,13 +61,7 @@ func (e *BaselineEngine) Receive(from message.SiteID, m message.Message) {
 		e.onVote(t)
 	case *message.PDecision:
 		e.onDecision(t)
-	case *message.Heartbeat:
-		// Liveness only.
 	default:
-		if e.mem != nil {
-			e.mem.Handle(from, m)
-			return
-		}
 		e.rt.Logf("baseline: unexpected %v from %v", m.Kind(), from)
 	}
 }

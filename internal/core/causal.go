@@ -1,12 +1,10 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/broadcast"
 	"repro/internal/env"
-	"repro/internal/membership"
 	"repro/internal/message"
 	"repro/internal/trace"
 )
@@ -50,7 +48,7 @@ func NewCausal(rt env.Runtime, cfg Config) *CausalEngine {
 		ackedBy: make(map[message.SiteID]uint64),
 		waiting: make(map[message.TxnID]*Tx),
 	}
-	e.initMembership(func(_, _ message.View) { e.onViewChange() })
+	e.initViews(func(_, _ message.View) { e.onViewChange() })
 	e.stack = broadcast.New(rt, broadcast.Config{
 		Deliver:          e.deliver,
 		Relay:            cfg.Relay,
@@ -67,8 +65,7 @@ func NewCausal(rt env.Runtime, cfg Config) *CausalEngine {
 
 // Start implements env.Node.
 func (e *CausalEngine) Start() {
-	e.startMembership()
-	e.startCheckpoint()
+	e.start()
 	if e.cfg.CausalHeartbeat > 0 {
 		e.rt.SetTimer(e.cfg.CausalHeartbeat, e.heartbeat)
 	}
@@ -103,18 +100,13 @@ func (e *CausalEngine) cbcast(p message.Message) uint64 {
 
 // Receive implements env.Node.
 func (e *CausalEngine) Receive(from message.SiteID, m message.Message) {
-	e.observe(from)
 	switch {
+	case e.receiveFailure(from, m):
+		// Liveness and view changes, handled.
 	case broadcast.Handles(m):
 		e.stack.Handle(from, m)
-	case membership.Handles(m):
-		if e.mem != nil {
-			e.mem.Handle(from, m)
-		}
 	default:
-		if m.Kind() != message.KindHeartbeat {
-			e.rt.Logf("causal: unexpected %v from %v", m.Kind(), from)
-		}
+		e.rt.Logf("causal: unexpected %v from %v", m.Kind(), from)
 	}
 }
 
@@ -262,19 +254,10 @@ func (e *CausalEngine) deliver(d broadcast.Delivery) {
 		e.rt.Logf("causal: unexpected payload %v", d.Payload.Kind())
 	}
 	if len(e.waiting) > 0 {
-		for _, tx := range e.waitingSnapshot() {
+		for _, tx := range sortedTxns(e.waiting) {
 			e.checkCommit(tx)
 		}
 	}
-}
-
-func (e *CausalEngine) waitingSnapshot() []*Tx {
-	out := make([]*Tx, 0, len(e.waiting))
-	for _, tx := range e.waiting {
-		out = append(out, tx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
-	return out
 }
 
 func (e *CausalEngine) rtxn(id message.TxnID) *rtxnC {
@@ -387,7 +370,7 @@ func (e *CausalEngine) onDecision(d *message.Decision) {
 func (e *CausalEngine) onViewChange() {
 	e.stack.OnViewChange()
 	if !e.inPrimary() {
-		for _, tx := range e.localTxns() {
+		for _, tx := range sortedTxns(e.local) {
 			e.abortLocal(tx, ReasonNotPrimary)
 		}
 		return
@@ -403,18 +386,9 @@ func (e *CausalEngine) onViewChange() {
 			delete(e.remote, id)
 		}
 	}
-	for _, tx := range e.waitingSnapshot() {
+	for _, tx := range sortedTxns(e.waiting) {
 		e.checkCommit(tx)
 	}
-}
-
-func (e *CausalEngine) localTxns() []*Tx {
-	out := make([]*Tx, 0, len(e.local))
-	for _, tx := range e.local {
-		out = append(out, tx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
-	return out
 }
 
 // AckedBy exposes the implicit-acknowledgement vector (tests, tools).

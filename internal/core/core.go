@@ -144,9 +144,6 @@ type Config struct {
 	// checkpoint.Recover after a restart) instead of an empty database. The
 	// per-site commit index resumes from the store's applied index.
 	InitialStore *storage.Store
-	// MaxVersions caps stored version chains (default
-	// storage.DefaultMaxVersions, 0 = unbounded).
-	MaxVersions int
 	// GroupCommit batches WAL fsyncs in the shared commit pipeline
 	// (internal/commitpipe): with MaxBatch > 1 (on; the magnitude means
 	// nothing), a WAL configured and a runtime that offers Offload,
@@ -189,14 +186,15 @@ type Config struct {
 	// acknowledgements keep flowing. Zero disables heartbeats (the paper's
 	// noted stall risk).
 	CausalHeartbeat time.Duration
-	// Membership enables the failure detector and majority-view service.
-	// When disabled the full static cluster is always the view.
-	Membership bool
-	// FailureInterval and FailureTimeout tune the detector when Membership
-	// is enabled. For the sharded engine (static placement, no views) a
-	// non-zero FailureInterval instead enables the failure detector alone,
-	// turning on cross-shard coordinator failover: prepares orphaned by a
-	// suspected coordinator are terminated by a successor.
+	// FailureInterval > 0 turns failure handling on: a heartbeat failure
+	// detector at this pace (internal/failure), whose suspicions R, C, A
+	// and the baseline turn into majority views (internal/membership) and
+	// the sharded engine into cross-shard coordinator failover: prepares
+	// orphaned by a suspected coordinator are terminated by a successor.
+	// Zero runs without failure handling: the full static cluster is
+	// always the view. The quorum engine needs none and ignores it.
+	// FailureTimeout is the silence before a peer is suspected (0 = four
+	// intervals).
 	FailureInterval time.Duration
 	FailureTimeout  time.Duration
 	// Tracer, when set, records per-transaction phase spans across the
@@ -373,6 +371,9 @@ type Engine interface {
 	// Checkpointer exposes the background checkpointer (nil when
 	// Config.Checkpoint is disabled).
 	Checkpointer() *checkpoint.Checkpointer
+	// Suspects returns the peers the failure detector suspects (nil when
+	// the site runs none).
+	Suspects() []message.SiteID
 }
 
 // base carries the state and helpers shared by every engine.
@@ -397,9 +398,6 @@ func newBase(rt env.Runtime, cfg Config, name string) *base {
 	st := cfg.InitialStore
 	if st == nil {
 		st = storage.New(cfg.WAL)
-	}
-	if cfg.MaxVersions != 0 {
-		st.MaxVersions = cfg.MaxVersions
 	}
 	b := &base{
 		rt:    rt,
@@ -485,50 +483,72 @@ func (b *base) initCheckpoint(exportStack func() *message.StackSync) {
 	})
 }
 
-// startCheckpoint arms the checkpointer's trigger (no-op when disabled).
-func (b *base) startCheckpoint() { b.ckpt.Start() }
-
 // Checkpointer exposes the background checkpointer (nil when disabled) for
 // STATS reporting and tests.
 func (b *base) Checkpointer() *checkpoint.Checkpointer { return b.ckpt }
 
-// initMembership wires the failure detector and view manager when enabled.
-// onViewChange runs after each installed view, with the manager available.
-func (b *base) initMembership(onViewChange func(old, installed message.View)) {
-	if !b.cfg.Membership {
-		return
+// initDetector builds the site's failure detector when
+// Config.FailureInterval > 0 and reports whether it did. onSuspect and
+// onAlive are the engine's reaction to the detector's verdicts.
+func (b *base) initDetector(onSuspect, onAlive func(message.SiteID)) bool {
+	if b.cfg.FailureInterval <= 0 {
+		return false
 	}
 	b.det = failure.New(b.rt, failure.Config{
-		Interval: b.cfg.FailureInterval,
-		Timeout:  b.cfg.FailureTimeout,
-		OnSuspect: func(message.SiteID) {
-			if b.mem != nil {
-				b.mem.Reconsider()
-			}
-		},
-		OnAlive: func(message.SiteID) {
-			if b.mem != nil {
-				b.mem.Reconsider()
-			}
-		},
+		Interval:  b.cfg.FailureInterval,
+		Timeout:   b.cfg.FailureTimeout,
+		OnSuspect: onSuspect,
+		OnAlive:   onAlive,
 	})
-	b.mem = membership.New(b.rt, membership.Config{
-		Detector:     b.det,
-		OnViewChange: onViewChange,
-	})
+	return true
 }
 
-func (b *base) startMembership() {
+// initViews layers the majority-view manager on the failure detector, the
+// reaction of the fully replicated engines. onViewChange runs after each
+// installed view, with the manager available.
+func (b *base) initViews(onViewChange func(old, installed message.View)) {
+	reconsider := func(message.SiteID) { b.mem.Reconsider() }
+	if b.initDetector(reconsider, reconsider) {
+		b.mem = membership.New(b.rt, membership.Config{
+			Detector:     b.det,
+			OnViewChange: onViewChange,
+		})
+	}
+}
+
+// start starts failure handling and the checkpointer, in the order seeded
+// runs depend on: views, detector, checkpointer. Each is optional.
+func (b *base) start() {
 	if b.mem != nil {
 		b.mem.Start()
 	}
 	if b.det != nil {
 		b.det.Start()
 	}
+	b.ckpt.Start()
 }
 
-// members returns the current view membership (all peers when membership is
-// disabled).
+// receiveFailure is every engine's Receive prelude: any message is
+// evidence that from is alive, and heartbeats and view-change traffic end
+// here. It reports whether m was failure-handling traffic.
+func (b *base) receiveFailure(from message.SiteID, m message.Message) bool {
+	if b.det != nil {
+		b.det.Observe(from)
+	}
+	switch {
+	case m.Kind() == message.KindHeartbeat:
+		return true
+	case membership.Handles(m):
+		if b.mem != nil {
+			b.mem.Handle(from, m)
+		}
+		return true
+	}
+	return false
+}
+
+// members returns the current view membership (all peers without failure
+// handling).
 func (b *base) members() []message.SiteID {
 	if b.mem != nil {
 		return b.mem.Members()
@@ -544,11 +564,24 @@ func (b *base) inPrimary() bool {
 	return true
 }
 
-// observe feeds the failure detector from the message router.
-func (b *base) observe(from message.SiteID) {
-	if b.det != nil {
-		b.det.Observe(from)
+// Suspects returns the peers the failure detector currently suspects, in
+// ascending order: nil when the site runs no detector.
+func (b *base) Suspects() []message.SiteID {
+	if b.det == nil {
+		return nil
 	}
+	return b.det.Suspected()
+}
+
+// sortedTxns returns txs' transactions in id order, so a sweep over them
+// runs identically in every seeded run.
+func sortedTxns(txs map[message.TxnID]*Tx) []*Tx {
+	out := make([]*Tx, 0, len(txs))
+	for _, tx := range txs {
+		out = append(out, tx)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
+	return out
 }
 
 // begin creates a local transaction handle.
@@ -797,7 +830,8 @@ func (b *base) Store() *storage.Store { return b.store }
 // Locks exposes the local lock table (tests).
 func (b *base) Locks() *lockmgr.Manager { return b.locks }
 
-// Membership exposes the view manager (nil when disabled).
+// Membership exposes the view manager (nil without failure handling, and
+// always under partial replication).
 func (b *base) Membership() *membership.Manager { return b.mem }
 
 // DebugActive renders one line per live local transaction — state, write

@@ -89,7 +89,10 @@ func TestCausalHeartbeatSuppressedWhenBusy(t *testing.T) {
 // TestAtomicStorageGCAbort forces a snapshot read below the GC horizon;
 // the client observes the storage error and the transaction aborts cleanly.
 func TestAtomicStorageGCAbort(t *testing.T) {
-	tc := newTestCluster(t, 2, "atomic", Config{MaxVersions: 2}, 65)
+	tc := newTestCluster(t, 2, "atomic", Config{}, 65)
+	for _, e := range tc.engines {
+		e.Store().MaxVersions = 2
+	}
 	var gotErr error
 	tc.c.Schedule(time.Millisecond, func() {
 		e := tc.engines[0]

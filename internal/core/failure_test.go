@@ -2,19 +2,20 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/membership"
 	"repro/internal/message"
 	"repro/internal/storage"
 )
 
-// failureCfg enables membership with detector timings suited to the
+// failureCfg enables failure handling with detector timings suited to the
 // simulated latencies.
 func failureCfg(proto string) Config {
 	cfg := Config{
-		Membership:      true,
 		FailureInterval: 30 * time.Millisecond,
 		FailureTimeout:  150 * time.Millisecond,
 	}
@@ -458,5 +459,65 @@ func TestCausalHeartbeatSilentOutsidePrimary(t *testing.T) {
 	rejoin := tc.c.Stats().ByPayload[message.KindCausalNull]
 	if rejoin == after {
 		t.Fatal("heartbeats did not resume after the site rejoined the primary partition")
+	}
+}
+
+// TestFailureHandlingOneKnob: Config.FailureInterval alone switches failure
+// handling for every engine. Off, no site heartbeats. On, every engine but
+// quorum (which needs none) heartbeats and suspects a crashed site; R, C, A
+// and the baseline then install a view without it, while the sharded
+// engine's reaction is coordinator failover, with no view manager at all.
+func TestFailureHandlingOneKnob(t *testing.T) {
+	for _, proto := range []string{"reliable", "causal", "atomic", "baseline", "quorum", "sharded"} {
+		t.Run(proto, func(t *testing.T) {
+			cfg := Config{}
+			if proto == "sharded" {
+				cfg = shardedCfg(2, 2)
+			}
+			off := newTestCluster(t, 4, proto, cfg, 41)
+			off.run(2 * time.Second)
+			if n := off.c.Stats().ByKind[message.KindHeartbeat]; n != 0 {
+				t.Fatalf("FailureInterval 0: %d heartbeats sent", n)
+			}
+			for i, e := range off.engines {
+				if s := e.Suspects(); s != nil {
+					t.Fatalf("FailureInterval 0: site %d answers Suspects() = %v, want nil", i, s)
+				}
+			}
+
+			cfg.FailureInterval = 30 * time.Millisecond
+			cfg.FailureTimeout = 150 * time.Millisecond
+			tc := newTestCluster(t, 4, proto, cfg, 41)
+			tc.run(2 * time.Second)
+			hb := tc.c.Stats().ByKind[message.KindHeartbeat]
+			if proto == "quorum" {
+				if hb != 0 {
+					t.Fatalf("quorum sent %d heartbeats", hb)
+				}
+			} else if hb == 0 {
+				t.Fatal("no heartbeats with FailureInterval set")
+			}
+			tc.c.Crash(2)
+			tc.run(2 * time.Second)
+			for _, i := range tc.survivors() {
+				e := tc.engines[i]
+				if proto == "quorum" {
+					if s := e.Suspects(); s != nil {
+						t.Fatalf("quorum site %d suspects %v", i, s)
+					}
+					continue
+				}
+				if s := e.Suspects(); !slices.Equal(s, []message.SiteID{2}) {
+					t.Fatalf("site %d suspects %v, want [2]", i, s)
+				}
+				mem := e.(interface{ Membership() *membership.Manager }).Membership()
+				switch {
+				case proto == "sharded" && mem != nil:
+					t.Fatalf("sharded site %d built a view manager", i)
+				case proto != "sharded" && slices.Contains(mem.Members(), 2):
+					t.Fatalf("site %d view %v still holds the crashed site", i, mem.View())
+				}
+			}
+		})
 	}
 }

@@ -73,8 +73,8 @@ func NewQuorum(rt env.Runtime, cfg Config) *QuorumEngine {
 		remote:     make(map[message.TxnID]*qRemote),
 		byTxn:      make(map[message.TxnID][]qopKey),
 	}
-	// No membership service: quorum protocols tolerate minority failures
-	// structurally.
+	// No failure handling, whatever Config.FailureInterval says: quorum
+	// protocols tolerate minority failures structurally.
 	e.initCheckpoint(nil)
 	return e
 }
@@ -83,7 +83,7 @@ func NewQuorum(rt env.Runtime, cfg Config) *QuorumEngine {
 func (e *QuorumEngine) majority() int { return len(e.rt.Peers())/2 + 1 }
 
 // Start implements env.Node.
-func (e *QuorumEngine) Start() { e.startCheckpoint() }
+func (e *QuorumEngine) Start() { e.start() }
 
 // Receive implements env.Node.
 func (e *QuorumEngine) Receive(from message.SiteID, m message.Message) {

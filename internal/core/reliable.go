@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/env"
-	"repro/internal/membership"
 	"repro/internal/message"
 	"repro/internal/trace"
 )
@@ -59,7 +58,7 @@ func NewReliable(rt env.Runtime, cfg Config) *ReliableEngine {
 		base:   newBase(rt, cfg, "reliable"),
 		remote: make(map[message.TxnID]*rtxnR),
 	}
-	e.initMembership(func(_, _ message.View) { e.onViewChange() })
+	e.initViews(func(_, _ message.View) { e.onViewChange() })
 	e.stack = broadcast.New(rt, broadcast.Config{
 		Deliver:          e.deliver,
 		Relay:            cfg.Relay,
@@ -75,30 +74,19 @@ func NewReliable(rt env.Runtime, cfg Config) *ReliableEngine {
 }
 
 // Start implements env.Node.
-func (e *ReliableEngine) Start() {
-	e.startMembership()
-	e.startCheckpoint()
-}
+func (e *ReliableEngine) Start() { e.start() }
 
 // Receive implements env.Node.
 func (e *ReliableEngine) Receive(from message.SiteID, m message.Message) {
-	e.observe(from)
 	switch {
+	case e.receiveFailure(from, m):
+		// Liveness and view changes, handled.
 	case broadcast.Handles(m):
 		e.stack.Handle(from, m)
-	case membership.Handles(m):
-		if e.mem != nil {
-			e.mem.Handle(from, m)
-		}
+	case m.Kind() == message.KindWriteAck:
+		e.onWriteAck(*m.(*message.WriteAck))
 	default:
-		switch t := m.(type) {
-		case *message.Heartbeat:
-			// Liveness only; already observed.
-		case *message.WriteAck:
-			e.onWriteAck(*t)
-		default:
-			e.rt.Logf("reliable: unexpected %v from %v", m.Kind(), from)
-		}
+		e.rt.Logf("reliable: unexpected %v from %v", m.Kind(), from)
 	}
 }
 
@@ -439,12 +427,12 @@ func (e *ReliableEngine) onViewChange() {
 		members[s] = true
 	}
 	if !e.inPrimary() {
-		for _, tx := range e.localSnapshot() {
+		for _, tx := range sortedTxns(e.local) {
 			e.abortLocal(tx, ReasonNotPrimary)
 		}
 		return
 	}
-	for _, tx := range e.localSnapshot() {
+	for _, tx := range sortedTxns(e.local) {
 		if tx.opInFlight {
 			tx.ackWait = slices.DeleteFunc(tx.ackWait, func(s message.SiteID) bool { return !members[s] })
 			if len(tx.ackWait) == 0 {
@@ -463,15 +451,6 @@ func (e *ReliableEngine) onViewChange() {
 		}
 		e.tally(r)
 	}
-}
-
-func (e *ReliableEngine) localSnapshot() []*Tx {
-	out := make([]*Tx, 0, len(e.local))
-	for _, tx := range e.local {
-		out = append(out, tx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
-	return out
 }
 
 func (e *ReliableEngine) remoteSnapshot() []*rtxnR {

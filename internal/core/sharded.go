@@ -9,7 +9,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/commitpipe"
 	"repro/internal/env"
-	"repro/internal/failure"
 	"repro/internal/message"
 	"repro/internal/shard"
 	"repro/internal/storage"
@@ -55,7 +54,9 @@ var ErrNotReplicated = errors.New("core: key's replication group not replicated 
 // base versions only: writes are blind and serialize by their install
 // index. Membership views are not yet integrated with the ring — the
 // sharded engine runs with static membership, relying on per-group gap
-// repair and state transfer for catch-up after a restart.
+// repair and state transfer for catch-up after a restart. Its failure
+// detector (Config.FailureInterval) drives coordinator failover instead of
+// views.
 type ShardedEngine struct {
 	*base
 	ring       *shard.Ring
@@ -91,15 +92,12 @@ type shardGroup struct {
 
 var _ Engine = (*ShardedEngine)(nil)
 
-// NewSharded creates a partially replicated protocol A engine on rt. It
-// refuses Config.Membership: group placement is static, and coordinator
-// failover runs on the bare detector Config.FailureInterval enables.
+// NewSharded creates a partially replicated protocol A engine on rt. Group
+// placement is static: the failure detector Config.FailureInterval enables
+// drives coordinator failover, not views.
 func NewSharded(rt env.Runtime, cfg Config) (*ShardedEngine, error) {
 	if cfg.Shard == nil {
 		return nil, errors.New("core: NewSharded requires Config.Shard")
-	}
-	if cfg.Membership {
-		return nil, errors.New("core: partial replication does not combine with membership views (Config.Membership): group placement is static")
 	}
 	ring, err := shard.NewRing(*cfg.Shard, len(rt.Peers()))
 	if err != nil {
@@ -116,16 +114,9 @@ func NewSharded(rt env.Runtime, cfg Config) (*ShardedEngine, error) {
 	for _, gid := range e.homeGroups {
 		e.groups[gid] = newShardGroup(e, gid, cfg)
 	}
-	if cfg.FailureInterval > 0 {
-		// Coordinator failover is opt-in: with a detector configured, a
-		// suspected coordinator's prepares are terminated by a successor
-		// instead of blocking until the coordinator restarts.
-		e.base.det = failure.New(rt, failure.Config{
-			Interval:  cfg.FailureInterval,
-			Timeout:   cfg.FailureTimeout,
-			OnSuspect: func(message.SiteID) { e.scanOrphans() },
-		})
-	}
+	// With a detector, a suspected coordinator's prepares are terminated by
+	// a successor instead of blocking until the coordinator restarts.
+	e.initDetector(func(message.SiteID) { e.scanOrphans() }, nil)
 	return e, nil
 }
 
@@ -140,9 +131,6 @@ func newShardGroup(e *ShardedEngine, gid message.GroupID, cfg Config) *shardGrou
 			w = cfg.GroupWAL(gid)
 		}
 		st = storage.New(w)
-	}
-	if cfg.MaxVersions != 0 {
-		st.MaxVersions = cfg.MaxVersions
 	}
 	g := &shardGroup{
 		id:       gid,
@@ -182,8 +170,8 @@ func (e *ShardedEngine) Start() {
 	if len(e.homeGroups) > 0 {
 		e.rt.SetTimer(e.probeInterval(), e.gapProbe)
 	}
+	e.start() // the detector: no views, and the checkpointers are the groups'
 	if e.det != nil {
-		e.det.Start()
 		e.rt.SetTimer(e.rescanInterval(), e.orphanTick)
 	}
 }
@@ -198,7 +186,9 @@ func (e *ShardedEngine) gapProbe() {
 
 // Receive implements env.Node.
 func (e *ShardedEngine) Receive(from message.SiteID, m message.Message) {
-	e.observe(from)
+	if e.receiveFailure(from, m) {
+		return
+	}
 	switch t := m.(type) {
 	case *message.GroupMsg:
 		g := e.groups[t.Group]
@@ -217,8 +207,6 @@ func (e *ShardedEngine) Receive(from message.SiteID, m message.Message) {
 		e.onOutcome(t)
 	case *message.CoordStatus:
 		e.onCoordStatus(t)
-	case *message.Heartbeat:
-		// Liveness only (observed above).
 	default:
 		e.rt.Logf("sharded: unexpected %v from %v", m.Kind(), from)
 	}
@@ -516,15 +504,6 @@ func (e *ShardedEngine) PendingCoord() int {
 		n += len(e.groups[gid].prepared)
 	}
 	return n
-}
-
-// Suspects returns the peers the failure detector currently suspects
-// (empty without a detector) for STATS and tests.
-func (e *ShardedEngine) Suspects() []message.SiteID {
-	if e.det == nil {
-		return nil
-	}
-	return e.det.Suspected()
 }
 
 // OrphanedPrepares counts certified-undecided prepares across local groups

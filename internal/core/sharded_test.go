@@ -81,15 +81,12 @@ func (tc *testCluster) checkGroupConvergence() {
 // TestNewShardedRejectsConfig: configurations the sharded engine cannot
 // honour fail at construction instead of being ignored.
 func TestNewShardedRejectsConfig(t *testing.T) {
-	withMembership := shardedCfg(2, 2)
-	withMembership.Membership = true
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"no shard config", Config{}},
 		{"more groups than sites", shardedCfg(5, 1)},
-		{"membership views", withMembership},
 	} {
 		c := sim.NewCluster(4, netsim.Fixed{Delay: time.Millisecond}, 1)
 		if e, err := NewSharded(c.Runtime(0), tc.cfg); err == nil {

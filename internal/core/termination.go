@@ -29,12 +29,7 @@ type termState struct {
 // rescanInterval paces the periodic orphan sweep: one detector timeout, so
 // a termination stalled by message loss or a partition retries as soon as
 // the suspicion evidence could have changed.
-func (e *ShardedEngine) rescanInterval() time.Duration {
-	if e.cfg.FailureTimeout > 0 {
-		return e.cfg.FailureTimeout
-	}
-	return 4 * e.cfg.FailureInterval
-}
+func (e *ShardedEngine) rescanInterval() time.Duration { return e.det.Timeout() }
 
 // orphanTick periodically re-runs the orphan sweep and retries the
 // idempotent traffic of still-open rounds; re-sent votes, queries, and
@@ -72,9 +67,6 @@ func (g *shardGroup) onOrderedQuery(idx uint64, q *message.CoordQuery) {
 // on every new suspicion and on a periodic timer, so lost queries and
 // partitioned groups retry until the round closes.
 func (e *ShardedEngine) scanOrphans() {
-	if e.det == nil {
-		return
-	}
 	// Drop stale termination state first (rounds closed by a decision, or
 	// whose coordinator turned out alive) — but keep rounds this site still
 	// coordinates undecided: those are its own stuck rounds being

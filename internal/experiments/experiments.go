@@ -416,7 +416,6 @@ func E7Availability(cfg Config) (*Report, error) {
 	crashAt := 5 * time.Second
 	for _, proto := range []string{harness.ProtoReliable, harness.ProtoCausal, harness.ProtoAtomic} {
 		ecfg := engineCfg(proto)
-		ecfg.Membership = true
 		ecfg.FailureInterval = 50 * time.Millisecond
 		ecfg.FailureTimeout = 250 * time.Millisecond
 		res, err := harness.Run(harness.Options{
@@ -601,7 +600,7 @@ func E10Quorum(cfg Config) (*Report, error) {
 		"protocol", "committed pre", "committed post", "unfinished")
 	crashAt := 5 * time.Second
 	for _, proto := range []string{harness.ProtoQuorum, harness.ProtoReliable, harness.ProtoCausal} {
-		// Membership deliberately disabled: this measures what happens with
+		// Failure handling deliberately off: this measures what happens with
 		// no detection machinery at all.
 		res, err := harness.Run(harness.Options{
 			Protocol: proto,
@@ -1007,10 +1006,10 @@ func E15CheckpointRecovery(cfg Config) (*Report, error) {
 		for _, mode := range []string{"delta", "full"} {
 			ecfg := engineCfg(harness.ProtoAtomic)
 			ecfg.AtomicMode = broadcast.AtomicSequencer
-			// The gap probe only runs under membership; the partition stays
-			// shorter than the failure timeout so no view change intervenes —
-			// catch-up goes through gap detection, not a rejoin view.
-			ecfg.Membership = true
+			// The gap probe only runs with a failure detector; the partition
+			// stays shorter than the failure timeout so no view change
+			// intervenes — catch-up goes through gap detection, not a
+			// rejoin view.
 			ecfg.FailureInterval = 30 * time.Millisecond
 			ecfg.FailureTimeout = 150 * time.Millisecond
 			// A short retransmission window forces the rejoin onto the

@@ -14,9 +14,13 @@ import (
 	"repro/internal/message"
 )
 
+// DefaultInterval is the heartbeat interval of a Detector configured
+// without one.
+const DefaultInterval = 50 * time.Millisecond
+
 // Config parameterizes a Detector.
 type Config struct {
-	// Interval between heartbeats. Defaults to 50ms.
+	// Interval between heartbeats. Defaults to DefaultInterval.
 	Interval time.Duration
 	// Timeout after which a silent peer is suspected. Defaults to 4x
 	// Interval.
@@ -39,7 +43,7 @@ type Detector struct {
 // New creates a detector; call Start to begin probing.
 func New(rt env.Runtime, cfg Config) *Detector {
 	if cfg.Interval <= 0 {
-		cfg.Interval = 50 * time.Millisecond
+		cfg.Interval = DefaultInterval
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 4 * cfg.Interval
@@ -125,6 +129,10 @@ func (d *Detector) Observe(peer message.SiteID) {
 		}
 	}
 }
+
+// Timeout returns the silence after which a peer is suspected, defaults
+// applied.
+func (d *Detector) Timeout() time.Duration { return d.cfg.Timeout }
 
 // Suspects reports whether peer is currently suspected.
 func (d *Detector) Suspects(peer message.SiteID) bool { return d.suspected[peer] }

@@ -58,8 +58,8 @@ type Options struct {
 	// the full execution (adds recording overhead).
 	Check bool
 	// Faults schedules site crashes during the run (availability
-	// experiments). Requires Engine.Membership for the survivors to
-	// reconfigure.
+	// experiments). Requires failure handling (Engine.FailureInterval > 0)
+	// for the survivors to reconfigure.
 	Faults []Fault
 	// TraceCap, when positive, equips every site with a span tracer of
 	// that capacity (see internal/trace); the tracers are returned in
@@ -83,8 +83,8 @@ type Options struct {
 	// final flushes).
 	Engines *[]core.Engine
 	// NetEvents schedules partitions and heals during the run (rejoin
-	// experiments). Requires Engine.Membership for the primary partition
-	// to reconfigure around the isolated sites.
+	// experiments). Requires failure handling (Engine.FailureInterval > 0)
+	// for the primary partition to reconfigure around the isolated sites.
 	NetEvents []NetEvent
 	// Chaos schedules scripted fault-injection events — kills, restarts,
 	// partitions, directed link cuts, heals, clock skew — at virtual times

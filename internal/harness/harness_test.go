@@ -196,7 +196,7 @@ func TestReplicateAggregates(t *testing.T) {
 func TestFaultsSkipCrashedHomes(t *testing.T) {
 	spec := smallSpec(4)
 	spec.Window = 8 * time.Second
-	ecfg := core.Config{Membership: true, FailureInterval: 30 * time.Millisecond, FailureTimeout: 150 * time.Millisecond}
+	ecfg := core.Config{FailureInterval: 30 * time.Millisecond, FailureTimeout: 150 * time.Millisecond}
 	res, err := Run(Options{
 		Protocol: ProtoAtomic,
 		Seed:     6,

@@ -509,7 +509,7 @@ func (e *encoder) stackSync(s *StackSync) {
 		return
 	}
 	e.vc(s.CausalVC)
-	e.siteSeqs(s.FifoNext)
+	e.uint(0) // the retired FIFO frontier: an always-empty site map
 	e.uint(uint64(len(s.HighSeq)))
 	lo := len(e.classes)
 	for c := range s.HighSeq {
@@ -531,7 +531,8 @@ func (d *decoder) stackSync() *StackSync {
 	if !d.bool() {
 		return nil
 	}
-	s := &StackSync{CausalVC: d.vc(), FifoNext: d.siteSeqs()}
+	s := &StackSync{CausalVC: d.vc()}
+	d.siteSeqs() // the retired FIFO frontier, discarded
 	if n := d.count(2); n > 0 {
 		s.HighSeq = make(map[Class]map[SiteID]uint64, n)
 		for i := 0; i < n; i++ {

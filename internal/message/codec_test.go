@@ -29,7 +29,6 @@ func codecSamples() []Message {
 	}
 	stack := &StackSync{
 		CausalVC: vclock.VC{4, 0, 9},
-		FifoNext: map[SiteID]uint64{2: 5, 0: 3, 1: 4},
 		HighSeq: map[Class]map[SiteID]uint64{
 			ClassAtomic:   {1: 11, 0: 10},
 			ClassReliable: {2: 1},
@@ -56,7 +55,7 @@ func codecSamples() []Message {
 	return []Message{
 		&Bcast{Class: ClassCausal, Origin: 1, Seq: 2, VC: vclock.VC{1, 2, 0}, Payload: write, Relayed: true, Trace: id},
 		&Bcast{Class: ClassReliable, Origin: 2, Seq: 1 << 33, Payload: &Vote{Txn: id, By: 2, Yes: true}, Trace: id},
-		&Bcast{Class: ClassFIFO, Origin: 0, Seq: 1}, // nil payload
+		&Bcast{Class: ClassAtomic, Origin: 0, Seq: 1}, // nil payload
 		&SeqOrder{Sequencer: 1, Entries: []OrderEntry{{Origin: 1, Seq: 2, Index: 3}, {Origin: 2, Seq: 1, Index: 4}}},
 		&SeqOrder{},
 		&IsisPropose{Origin: 1, Seq: 2, Proposer: 3, TS: 4},
@@ -179,13 +178,13 @@ func TestCodecEmptyDecodesNil(t *testing.T) {
 		{
 			&SyncState{
 				Stack: &StackSync{
-					CausalVC: vclock.VC{}, FifoNext: map[SiteID]uint64{},
-					HighSeq: map[Class]map[SiteID]uint64{ClassFIFO: {}}, Held: []*Bcast{},
+					CausalVC: vclock.VC{},
+					HighSeq:  map[Class]map[SiteID]uint64{ClassReliable: {}}, Held: []*Bcast{},
 				},
 				Pending: map[TxnID][]KV{{Site: 1, Seq: 1}: {}},
 			},
 			&SyncState{
-				Stack:   &StackSync{HighSeq: map[Class]map[SiteID]uint64{ClassFIFO: nil}},
+				Stack:   &StackSync{HighSeq: map[Class]map[SiteID]uint64{ClassReliable: nil}},
 				Pending: map[TxnID][]KV{{Site: 1, Seq: 1}: nil},
 			},
 		},

@@ -141,7 +141,7 @@ type Class int
 // Broadcast classes in increasing order of delivery guarantees.
 const (
 	ClassReliable Class = iota + 1 // delivery, no ordering across senders
-	ClassFIFO                      // per-sender order
+	_                              // 2: the retired FIFO class; reserved so later classes keep their wire values
 	ClassCausal                    // causal order, vector clocks exposed
 	ClassAtomic                    // total order
 )
@@ -151,8 +151,6 @@ func (c Class) String() string {
 	switch c {
 	case ClassReliable:
 		return "reliable"
-	case ClassFIFO:
-		return "fifo"
 	case ClassCausal:
 		return "causal"
 	case ClassAtomic:
@@ -340,14 +338,12 @@ type StackSync struct {
 	// max-merges it so delivery resumes at the cluster's frontier. The
 	// receiver's own entry doubles as its causal send-sequence floor.
 	CausalVC vclock.VC
-	// FifoNext is the donor's next expected FIFO sequence per origin.
-	FifoNext map[SiteID]uint64
 	// HighSeq records, per class and origin, the highest broadcast sequence
 	// the donor has seen. A rejoining site resumes its own numbering above
 	// its entry so new broadcasts are not mistaken for replays.
 	HighSeq map[Class]map[SiteID]uint64
 	// Held are broadcasts buffered undelivered at the donor (causal holds,
-	// FIFO holds, unordered atomic payloads), replayed at the receiver so it
+	// unordered atomic payloads), replayed at the receiver so it
 	// does not wait on messages peers will never resend.
 	Held []*Bcast
 }

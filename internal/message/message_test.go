@@ -51,7 +51,7 @@ func TestKindStringsComplete(t *testing.T) {
 
 func TestClassStrings(t *testing.T) {
 	for c, want := range map[Class]string{
-		ClassReliable: "reliable", ClassFIFO: "fifo", ClassCausal: "causal", ClassAtomic: "atomic",
+		ClassReliable: "reliable", 2: "class(2)", ClassCausal: "causal", ClassAtomic: "atomic",
 	} {
 		if c.String() != want {
 			t.Fatalf("%d -> %q", c, c.String())

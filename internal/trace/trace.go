@@ -51,9 +51,6 @@ const (
 	// remote). Peer is the origin, Seq the per-origin broadcast sequence,
 	// Extra the message.Class.
 	KindBcastDeliver
-	// KindFifoHold measures how long a FIFO broadcast waited for its
-	// per-origin predecessor. Peer is the origin, Seq the origin sequence.
-	KindFifoHold
 	// KindCausalHold measures how long a causal broadcast was held for a
 	// vector-clock predecessor. Peer is the origin, Seq the origin sequence.
 	KindCausalHold
@@ -142,7 +139,6 @@ var kindNames = [numKinds]string{
 	KindCommitReq:     "commit-req",
 	KindBcastSend:     "bcast-send",
 	KindBcastDeliver:  "bcast-deliver",
-	KindFifoHold:      "fifo-hold",
 	KindCausalHold:    "causal-hold",
 	KindSeqOrder:      "seq-order",
 	KindIsisPropose:   "isis-propose",

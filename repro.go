@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/message"
 	"repro/internal/netsim"
 	"repro/internal/sgraph"
@@ -67,8 +68,9 @@ type Options struct {
 	// causal cluster with silent sites stalls commits, as §4 of the paper
 	// warns (default 25ms; set negative to disable).
 	Heartbeat time.Duration
-	// Membership enables the failure detector and majority views, required
-	// for Crash/Partition experiments.
+	// Membership enables failure handling — the failure detector at its
+	// default pace and majority views — required for Crash/Partition
+	// experiments.
 	Membership bool
 	// PiggybackWrites makes protocol A carry writes in the commit request.
 	PiggybackWrites bool
@@ -121,10 +123,12 @@ type Cluster struct {
 func New(opts Options) (*Cluster, error) {
 	opts.defaults()
 	cfg := core.Config{
-		Membership:       opts.Membership,
 		PiggybackWrites:  opts.PiggybackWrites,
 		BatchWrites:      opts.BatchWrites,
 		SnapshotReadOnly: opts.SnapshotReadOnly,
+	}
+	if opts.Membership {
+		cfg.FailureInterval = failure.DefaultInterval
 	}
 	if opts.Protocol == Causal && opts.Heartbeat > 0 {
 		cfg.CausalHeartbeat = opts.Heartbeat
