@@ -132,7 +132,7 @@ func Write(dir string, ck *Checkpoint) (string, int64, error) {
 		os.Remove(tmp)
 		return "", 0, err
 	}
-	if err := syncDir(dir); err != nil {
+	if err := storage.SyncDir(dir); err != nil {
 		return final, 0, err
 	}
 	return final, int64(len(b)), nil
@@ -158,19 +158,6 @@ func decodeBody(body []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: body is a %v, not a SnapshotChunk", ErrCorrupt, m.Kind())
 	}
 	return &Checkpoint{Applied: sc.Applied, Entries: sc.Entries, Stack: sc.Stack, Shard: sc.Shard}, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Read loads and validates one checkpoint file.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -206,7 +207,8 @@ func (l *WAL) sync() error {
 	return nil
 }
 
-// rotate syncs and closes the active segment and opens the next one.
+// rotate syncs and closes the active segment and opens the next one, whose
+// name is durable before the first record lands in it.
 func (l *WAL) rotate() error {
 	s := l.seg
 	if err := s.f.Sync(); err != nil {
@@ -216,7 +218,7 @@ func (l *WAL) rotate() error {
 		return err
 	}
 	s.n++
-	f, err := os.OpenFile(segmentPath(s.dir, s.n), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := createSegment(segmentPath(s.dir, s.n))
 	if err != nil {
 		return err
 	}
@@ -225,6 +227,41 @@ func (l *WAL) rotate() error {
 	l.w = f
 	l.Sync = f.Sync
 	return nil
+}
+
+// createSegment opens a segment for appending, creating it if needed, and
+// syncs its directory so the segment's name survives power loss: POSIX
+// makes a new directory entry durable only through an fsync of the
+// directory, and without it a crash could drop every record the segment
+// acknowledged.
+func createSegment(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := SyncDir(filepath.Dir(path)); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// SyncDir fsyncs a directory so the entries created, renamed or removed in
+// it survive power loss.
+func SyncDir(dir string) error { return syncDir(dir) }
+
+// syncDir is SyncDir's implementation, a variable so tests can count the
+// directory syncs a log makes.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // DefaultSegmentBytes is the rotation threshold OpenSegments applies when
@@ -260,8 +297,15 @@ func OpenSegments(dir string, maxBytes int64) (*WAL, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultSegmentBytes
 	}
+	_, statErr := os.Stat(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
+	}
+	if errors.Is(statErr, fs.ErrNotExist) {
+		// A fresh log directory's own name lives in its parent.
+		if err := SyncDir(filepath.Dir(dir)); err != nil {
+			return nil, err
+		}
 	}
 	files, err := SegmentFiles(dir)
 	if err != nil {
@@ -276,7 +320,7 @@ func OpenSegments(dir string, maxBytes int64) (*WAL, error) {
 			return nil, fmt.Errorf("wal: bad segment name %q", last)
 		}
 	}
-	f, err := os.OpenFile(segmentPath(dir, n), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := createSegment(segmentPath(dir, n))
 	if err != nil {
 		return nil, err
 	}
@@ -383,6 +427,10 @@ func TruncateSegments(dir string, floor uint64) (int, error) {
 			return removed, err
 		}
 		removed++
+	}
+	if removed > 0 {
+		// Make the removals durable before reporting them.
+		return removed, SyncDir(dir)
 	}
 	return removed, nil
 }

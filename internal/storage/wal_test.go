@@ -546,3 +546,58 @@ func TestAppendedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSegmentNamesAreDurable counts directory syncs: a fresh log syncs its
+// parent (the directory's own name) and itself (the first segment's), and a
+// WriteSync that rotates has synced the directory holding the new segment
+// before it returns — so no acknowledged record lives in a segment whose
+// name a power loss could drop. A truncation that removes segments syncs
+// the directory once more.
+func TestSegmentNamesAreDurable(t *testing.T) {
+	synced := make(map[string]int)
+	orig := syncDir
+	syncDir = func(dir string) error { synced[dir]++; return orig(dir) }
+	defer func() { syncDir = orig }()
+
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "wal")
+	l, err := OpenSegments(dir, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if synced[parent] != 1 || synced[dir] != 1 {
+		t.Fatalf("after open: syncs %v, want parent and log dir once each", synced)
+	}
+	l.SetGrouped(true)
+	write := func(from, to int) {
+		t.Helper()
+		for i := from; i <= to; i++ {
+			_ = l.Append(Record{Index: uint64(i), Txn: txn(0, i), Writes: []message.KV{kv("key", "value")}})
+		}
+		b := l.Detach()
+		if err := l.WriteSync(b); err != nil {
+			t.Fatal(err)
+		}
+		l.Recycle(b)
+	}
+	write(1, 2) // fits segment 1
+	if synced[dir] != 1 {
+		t.Fatalf("non-rotating write synced the directory: %v", synced)
+	}
+	write(3, 5) // overflows: rotates to segment 2
+	if files, _ := SegmentFiles(dir); len(files) != 2 {
+		t.Fatalf("segments %v, want 2", files)
+	}
+	if synced[dir] != 2 {
+		t.Fatalf("rotating WriteSync returned with %d directory syncs, want 2", synced[dir])
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := TruncateSegments(dir, 2); err != nil || n != 1 {
+		t.Fatalf("truncate removed %d err=%v, want 1", n, err)
+	}
+	if synced[dir] != 3 {
+		t.Fatalf("truncation left %d directory syncs, want 3", synced[dir])
+	}
+}
