@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/broadcast"
 	"repro/internal/checkpoint"
 	"repro/internal/commitpipe"
 	"repro/internal/core"
@@ -160,6 +161,21 @@ func TestFailureIntervalDefault(t *testing.T) {
 // temp WAL directory (so STATS exposes checkpoint counters).
 func newTestReplica(t *testing.T, n int) []*replica {
 	t.Helper()
+	return bootReplicas(t, n, "causal", func(id message.SiteID, h *livenet.Host, tr *trace.Tracer) core.Engine {
+		cfg := fdDefaults
+		cfg.CausalHeartbeat, cfg.Tracer = 20*time.Millisecond, tr
+		ckpt := checkpoint.Policy{Interval: 25 * time.Millisecond, Retain: 2}
+		if _, err := recoverSite(&cfg, t.TempDir(), nil, id, 1<<20, ckpt); err != nil {
+			t.Fatal(err)
+		}
+		return core.NewCausal(h, cfg)
+	})
+}
+
+// bootReplicas starts an n-site cluster on loopback TCP, with a span tracer
+// at every site and the engine build returns bound to each host.
+func bootReplicas(t *testing.T, n int, proto string, build func(message.SiteID, *livenet.Host, *trace.Tracer) core.Engine) []*replica {
+	t.Helper()
 	listeners := make([]net.Listener, n)
 	addrs := make(map[message.SiteID]string, n)
 	for i := 0; i < n; i++ {
@@ -178,15 +194,9 @@ func newTestReplica(t *testing.T, n int) []*replica {
 		}
 		tr := trace.New(message.SiteID(i), 1<<12, h.Now)
 		h.SetTracer(tr)
-		cfg := fdDefaults
-		cfg.CausalHeartbeat, cfg.Tracer = 20*time.Millisecond, tr
-		ckpt := checkpoint.Policy{Interval: 25 * time.Millisecond, Retain: 2}
-		if _, err := recoverSite(&cfg, t.TempDir(), nil, message.SiteID(i), 1<<20, ckpt); err != nil {
-			t.Fatal(err)
-		}
-		e := core.NewCausal(h, cfg)
+		e := build(message.SiteID(i), h, tr)
 		h.Bind(e)
-		replicas[i] = &replica{host: h, engine: e, tracer: tr, proto: "causal", sites: n}
+		replicas[i] = &replica{host: h, engine: e, tracer: tr, proto: proto, sites: n}
 	}
 	for _, r := range replicas {
 		if err := r.host.Start(); err != nil {
@@ -285,6 +295,72 @@ func TestClientProtocolExecute(t *testing.T) {
 	for _, bad := range []string{"", "GET", "SET", "SET noequals", "NOPE x"} {
 		if resp := r0.execute(bad); !strings.HasPrefix(resp, "ERR") {
 			t.Fatalf("execute(%q) = %q, want ERR", bad, resp)
+		}
+	}
+}
+
+// TestAtomicCommitMessageCount pins protocol A's shipped write path over
+// TCP: an update transaction's write set rides its totally ordered commit
+// request, so one 2-write commit at a non-sequencer site costs 2(n-1) = 4
+// messages (the request to each peer, the sequencer's order to each peer)
+// and no causal broadcast is ever delivered. The paper's causal-write arm
+// would send (w+2)(n-1) = 8. Sites run -proto atomic's engine config with
+// failure handling off (-fd-interval 0) so no heartbeats are counted.
+func TestAtomicCommitMessageCount(t *testing.T) {
+	const n = 3
+	rs := bootReplicas(t, n, "atomic", func(_ message.SiteID, h *livenet.Host, tr *trace.Tracer) core.Engine {
+		return core.NewAtomic(h, core.Config{
+			AtomicMode:  broadcast.AtomicSequencer,
+			GroupCommit: commitpipe.Policy{MaxBatch: 2},
+			Tracer:      tr,
+		})
+	})
+	// sent sums the messages written to peers cluster-wide (the loopback
+	// entry, a site's delivery to itself, excluded).
+	sent := func() int64 {
+		var total int64
+		for i, r := range rs {
+			for _, ps := range r.host.PeerStats() {
+				if ps.Peer != message.SiteID(i) {
+					total += ps.Sent
+				}
+			}
+		}
+		return total
+	}
+	converged := func(key, val string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for _, r := range rs {
+			for r.execute("GET "+key) != "OK "+key+"="+val {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s=%s never reached every site", key, val)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+	}
+	// Warm up: connections dialed, then an idle cluster.
+	if resp := rs[1].execute("SET warm=1"); resp != "OK committed" {
+		t.Fatalf("SET: %q", resp)
+	}
+	converged("warm", "1")
+	time.Sleep(100 * time.Millisecond)
+	before := sent()
+
+	if resp := rs[1].execute("SET a=1 b=2"); resp != "OK committed" {
+		t.Fatalf("SET: %q", resp)
+	}
+	converged("b", "2")
+	time.Sleep(100 * time.Millisecond) // let a late order frame reach the counters
+	if got, want := sent()-before, int64(2*(n-1)); got != want {
+		t.Fatalf("one 2-write commit sent %d messages, want 2(n-1) = %d", got, want)
+	}
+	for i, r := range rs {
+		var causal int64
+		r.host.Do(func() { causal = r.engine.(*core.AtomicEngine).Broadcasts()[message.ClassCausal] })
+		if causal != 0 {
+			t.Fatalf("site %d delivered %d causal broadcasts, want 0", i, causal)
 		}
 	}
 }

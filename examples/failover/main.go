@@ -27,16 +27,15 @@ func main() {
 }
 
 func run() error {
-	// PiggybackWrites keeps all replication traffic on the totally ordered
-	// stream, which is what makes the post-partition state transfer and
-	// gap repair below complete (causally disseminated writes cannot be
-	// replayed across a partition).
+	// Protocol A carries each write set inside its totally ordered commit
+	// request, so all replication traffic is on that one stream: this is
+	// what makes the post-partition state transfer and gap repair below
+	// complete.
 	cluster, err := repro.New(repro.Options{
-		Sites:           5,
-		Protocol:        repro.Atomic,
-		Membership:      true,
-		PiggybackWrites: true,
-		Seed:            9,
+		Sites:      5,
+		Protocol:   repro.Atomic,
+		Membership: true,
+		Seed:       9,
 	})
 	if err != nil {
 		return err

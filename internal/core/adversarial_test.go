@@ -176,9 +176,7 @@ func TestMembershipChurn(t *testing.T) {
 // victim must fall out of the primary view, resynchronize on heal (state
 // transfer + gap repair), and the cluster must end consistent and 1SR.
 func TestNemesisPartitionChurn(t *testing.T) {
-	cfg := failureCfg("atomic")
-	cfg.PiggybackWrites = true
-	tc := newTestCluster(t, 5, "atomic", cfg, 97)
+	tc := newTestCluster(t, 5, "atomic", failureCfg("atomic"), 97)
 	r := rand.New(rand.NewSource(98))
 
 	// Continuous traffic from all sites; submissions at dead/minority sites

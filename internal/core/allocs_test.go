@@ -64,7 +64,7 @@ func TestOrderedCommitAllocs(t *testing.T) {
 	})
 
 	c := sim.NewCluster(3, netsim.Uniform{}, 1)
-	e := NewAtomic(c.Runtime(1), Config{PiggybackWrites: true})
+	e := NewAtomic(c.Runtime(1), Config{})
 	req := &message.CommitReq{Txn: id, Writes: []message.KeyVer{{Key: "a"}, {Key: "b"}}, NWrites: 2, WriteKV: writes}
 	idx = 0
 	got := testing.AllocsPerRun(runs, func() {

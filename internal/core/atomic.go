@@ -9,9 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// AtomicEngine implements protocol A: write operations are disseminated by
-// causal broadcast (or piggybacked on the commit request), and the commit
-// request itself is delivered by atomic broadcast. Because every site
+// AtomicEngine implements protocol A: the commit request, carrying the
+// transaction's write set, is delivered by atomic broadcast. (Under
+// Config.CausalWrites, the paper's arm, each write is instead disseminated
+// by causal broadcast as it is staged.) Because every site
 // processes the identical total order of commit requests with the identical
 // deterministic certification rule, no acknowledgements of any kind are
 // exchanged during commitment — the paper's headline property.
@@ -90,8 +91,10 @@ func (e *AtomicEngine) gapProbe() {
 }
 
 // checkCertStall escalates a persistent certification stall to a snapshot
-// request. Normally the queue head waiting for disseminated writes is a
-// transient condition — causal broadcast eventually delivers them. But a
+// request. Only the causal-write arm (Config.CausalWrites) can stall: the
+// shipped path carries every write in the ordered request itself, so gap
+// repair of the ordered stream alone catches a site up. Normally the queue
+// head waiting for disseminated writes is a transient condition — causal broadcast eventually delivers them. But a
 // site that restarts after its peers certified an index holds a
 // retransmitted commit request whose WriteReqs were consumed cluster-wide
 // before it rejoined: no peer will ever resend them, and retransmission of
@@ -99,7 +102,7 @@ func (e *AtomicEngine) gapProbe() {
 // index. The stall must persist across two probes before escalating so an
 // ordinary in-flight dissemination is not mistaken for a lost one.
 func (e *AtomicEngine) checkCertStall() {
-	if len(e.queue) == 0 || e.cfg.PiggybackWrites {
+	if len(e.queue) == 0 || !e.cfg.CausalWrites {
 		e.lastStall = 0
 		return
 	}
@@ -165,7 +168,7 @@ func (e *AtomicEngine) Write(tx *Tx, key message.Key, val message.Value) error {
 	if err := e.bufferWrite(tx, key, val); err != nil {
 		return err
 	}
-	if !e.cfg.PiggybackWrites {
+	if e.cfg.CausalWrites {
 		e.tr.Point(tx.ID, trace.KindWriteSend, uint64(len(tx.writes)), e.rt.ID(), 1)
 		e.stack.Broadcast(message.ClassCausal, &message.WriteReq{
 			Txn: tx.ID, OpSeq: len(tx.writes), Key: key, Value: val,
@@ -204,7 +207,7 @@ func (e *AtomicEngine) Commit(tx *Tx, cb func(Outcome, AbortReason)) {
 		}
 		req.Writes = append(req.Writes, message.KeyVer{Key: w.Key, Ver: ver})
 	}
-	if e.cfg.PiggybackWrites {
+	if !e.cfg.CausalWrites {
 		req.WriteKV = writes
 		e.tr.Point(tx.ID, trace.KindWriteSend, 0, e.rt.ID(), int64(len(writes)))
 	}
@@ -218,7 +221,7 @@ func (e *AtomicEngine) Abort(tx *Tx) {
 	if tx.state != txActive {
 		return
 	}
-	if !e.cfg.PiggybackWrites && len(tx.writes) > 0 {
+	if e.cfg.CausalWrites && len(tx.writes) > 0 {
 		// Tell peers to drop the disseminated writes; causal FIFO delivers
 		// this after every one of them.
 		e.stack.Broadcast(message.ClassCausal, &message.Decision{Txn: tx.ID, Commit: false, NOps: len(tx.writes)})
@@ -226,8 +229,8 @@ func (e *AtomicEngine) Abort(tx *Tx) {
 	e.finish(tx, Aborted, ReasonClient)
 }
 
-// deliver routes broadcast deliveries: causal carries write dissemination,
-// atomic carries commit requests.
+// deliver routes broadcast deliveries: atomic carries commit requests,
+// causal the causal-write arm's write dissemination and client aborts.
 func (e *AtomicEngine) deliver(d broadcast.Delivery) {
 	switch p := d.Payload.(type) {
 	case *message.WriteReq:
@@ -267,11 +270,11 @@ func (e *AtomicEngine) scheduleDrain() {
 
 // drain certifies queued commit requests strictly in total order, each at
 // its order index by the deterministic rule every site applies identically.
-// The head stalls until every disseminated write it announced has arrived —
-// all sites stall identically, so determinism is preserved; causal
-// broadcast's eventual delivery guarantees progress. The maximal
-// deliverable run is handed to the pipeline as one group so its installs
-// share a single store traversal and its log records one fsync.
+// Under CausalWrites the head stalls until every disseminated write it
+// announced has arrived — all sites stall identically, so determinism is
+// preserved; causal broadcast's eventual delivery guarantees progress. The
+// maximal deliverable run is handed to the pipeline as one group so its
+// installs share a single store traversal and its log records one fsync.
 func (e *AtomicEngine) drain() {
 	o := e.takeGroup()
 	n := 0
@@ -279,7 +282,7 @@ func (e *AtomicEngine) drain() {
 		item := e.queue[n]
 		req := item.req
 		var writes []message.KV
-		if e.cfg.PiggybackWrites {
+		if !e.cfg.CausalWrites {
 			writes = req.WriteKV
 		} else {
 			writes = e.pendingWrites[req.Txn]

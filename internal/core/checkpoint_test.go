@@ -42,6 +42,11 @@ func TestCheckpointKillRestartKillDurability(t *testing.T) {
 	cfg := failureCfg("atomic")
 	cfg.Recorder = rec
 	cfg.GroupCommit = commitpipe.Policy{MaxBatch: 2}
+	// A retention window shorter than phase 2's commits: the ordered stream
+	// carries every write, so retransmission alone would catch site 2 up,
+	// and the gap must outrun the donors' history to reach the delta
+	// transfer this test is about.
+	cfg.HistoryRetention = 4
 	tc := &testCluster{t: t, c: c, rec: rec}
 	tracers := make([]*trace.Tracer, 3)
 	for i := 0; i < 3; i++ {
@@ -117,8 +122,8 @@ func TestCheckpointKillRestartKillDurability(t *testing.T) {
 	// exposes the restarted site's gap and triggers catch-up.
 	post := tc.runTxn(5500*time.Millisecond, 0, false, nil, []message.KV{kv("epoch", "post")})
 
-	// Phase 3, after the rejoin has settled (the stall-escalated state
-	// transfer takes a few simulated seconds): commits from every site,
+	// Phase 3, after the rejoin has settled (the state transfer takes a few
+	// simulated seconds): commits from every site,
 	// including the restarted one — only possible once its send sequences
 	// resumed past the pre-crash numbering. This window is the "rejoin
 	// trace" handed to tracecheck below.

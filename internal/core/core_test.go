@@ -500,12 +500,13 @@ func TestAtomicCertificationAbort(t *testing.T) {
 }
 
 // TestAtomicPiggybackAndIsis exercises protocol A's configuration axes: the
-// piggybacked write dissemination and the ISIS total-order variant.
+// shipped piggybacked writes versus the paper's causal write dissemination,
+// and the ISIS total-order variant.
 func TestAtomicPiggybackAndIsis(t *testing.T) {
 	cfgs := map[string]Config{
-		"piggyback": {PiggybackWrites: true},
-		"isis":      {AtomicMode: broadcast.AtomicIsis},
-		"both":      {PiggybackWrites: true, AtomicMode: broadcast.AtomicIsis},
+		"piggyback": {},
+		"isis":      {AtomicMode: broadcast.AtomicIsis, CausalWrites: true},
+		"both":      {AtomicMode: broadcast.AtomicIsis},
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {

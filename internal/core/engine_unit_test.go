@@ -125,7 +125,7 @@ func TestAtomicStorageGCAbort(t *testing.T) {
 // must be identical.
 func TestAtomicPiggybackStreamEquivalence(t *testing.T) {
 	outcomes := func(piggy bool) []Outcome {
-		tc := newTestCluster(t, 3, "atomic", Config{PiggybackWrites: piggy}, 66)
+		tc := newTestCluster(t, 3, "atomic", Config{CausalWrites: !piggy}, 66)
 		var rs []*txResult
 		for i := 0; i < 20; i++ {
 			rs = append(rs, tc.runTxn(time.Duration(i%5)*time.Millisecond, i%3, false,
@@ -162,7 +162,7 @@ func TestAtomicPiggybackStreamEquivalence(t *testing.T) {
 func TestAtomicDrainReentry(t *testing.T) {
 	const rounds = 4
 	tc := newTestCluster(t, 3, "atomic", Config{
-		AtomicMode: broadcast.AtomicBatch, AtomicBatchMsgs: 2, AtomicBatchWindow: time.Hour, PiggybackWrites: true,
+		AtomicMode: broadcast.AtomicBatch, AtomicBatchMsgs: 2, AtomicBatchWindow: time.Hour,
 	}, 69)
 	e := tc.engines[0].(*AtomicEngine)
 	outcomes := make(map[string]Outcome)

@@ -288,19 +288,23 @@ func TestAtomicPartitionHealResync(t *testing.T) {
 // at it, and (b) its own new broadcasts are accepted by peers instead of
 // being discarded as replays of its pre-crash sequence numbers.
 //
-// Both donor paths are exercised: with a shrunken retention window the
+// Every donor path is exercised: with a shrunken retention window the
 // from-index retransmission request misses and the donor answers with a
 // snapshot directly; with the default window the donor retransmits the
-// ordered stream, whose commit requests reference causally disseminated
-// writes the cluster consumed long ago — the restarted site must detect
-// that certification stall and escalate to a snapshot itself.
+// ordered stream, which on the shipped path carries every write and so
+// catches the site up alone. Under the paper's causal-write arm the
+// retransmitted commit requests reference causally disseminated writes the
+// cluster consumed long ago — the restarted site must detect that
+// certification stall and escalate to a snapshot itself.
 func TestAtomicRestartResync(t *testing.T) {
-	t.Run("retention-miss", func(t *testing.T) { testAtomicRestartResync(t, 4) })
-	t.Run("within-retention", func(t *testing.T) { testAtomicRestartResync(t, 0) })
+	t.Run("retention-miss", func(t *testing.T) { testAtomicRestartResync(t, 4, false) })
+	t.Run("within-retention", func(t *testing.T) { testAtomicRestartResync(t, 0, true) })
+	t.Run("gap-repair", func(t *testing.T) { testAtomicRestartResync(t, 0, false) })
 }
 
-func testAtomicRestartResync(t *testing.T, retention int) {
-	cfg := failureCfg("atomic") // PiggybackWrites off: writes travel causally
+func testAtomicRestartResync(t *testing.T, retention int, causalWrites bool) {
+	cfg := failureCfg("atomic")
+	cfg.CausalWrites = causalWrites
 	tc := newTestCluster(t, 3, "atomic", cfg, 37)
 	for _, e := range tc.engines {
 		if retention > 0 {
@@ -320,8 +324,8 @@ func testAtomicRestartResync(t *testing.T, retention int) {
 			i%2, false, nil, []message.KV{{Key: key, Value: message.Value("v")}}))
 	}
 	// Restart: fresh engine, fresh stack; state arrives via the protocol's
-	// own gap probe — retransmission miss or certification stall, both
-	// ending in a snapshot transfer.
+	// own gap probe — retransmission, or a snapshot transfer after a
+	// retransmission miss or a certification stall.
 	tc.c.Schedule(4*time.Second, func() {
 		tc.c.Recover(2)
 		rcfg := cfg

@@ -21,12 +21,13 @@ type groupHarness struct {
 	verify func(t *testing.T, adopted bool)
 }
 
-// atomicHarness: site 2 of a fully replicated cluster. The carriage is one
+// atomicHarness: site 2 of a fully replicated cluster on the causal-write
+// arm, the only one with pending writes to carry. The carriage is one
 // in-flight disseminated write; once adopted, the ordered commit request
 // that announced it must certify and install without any WriteReq arriving.
 func atomicHarness(t *testing.T) *groupHarness {
 	c := sim.NewCluster(3, netsim.Uniform{Min: time.Millisecond, Max: time.Millisecond}, 1)
-	e := NewAtomic(c.Runtime(2), Config{})
+	e := NewAtomic(c.Runtime(2), Config{CausalWrites: true})
 	txn := message.TxnID{Site: 1, Seq: 7}
 	return &groupHarness{
 		g:     e.replicaGroup,
@@ -228,11 +229,12 @@ func TestGroupChunkReassembly(t *testing.T) {
 }
 
 // TestGroupSyncStateRedrivesQueue: on the repair path the donor's in-flight
-// writes arrive on a SyncState; protocol A merges them before the stack
-// import and re-drives its stalled certification queue after it.
+// writes arrive on a SyncState; protocol A's causal-write arm merges them
+// before the stack import and re-drives its stalled certification queue
+// after it.
 func TestGroupSyncStateRedrivesQueue(t *testing.T) {
 	c := sim.NewCluster(3, netsim.Uniform{Min: time.Millisecond, Max: time.Millisecond}, 1)
-	e := NewAtomic(c.Runtime(2), Config{})
+	e := NewAtomic(c.Runtime(2), Config{CausalWrites: true})
 	txn := message.TxnID{Site: 1, Seq: 1}
 	e.Receive(1, &message.Bcast{Class: message.ClassAtomic, Origin: 1, Seq: 1,
 		Payload: &message.CommitReq{Txn: txn, NWrites: 1}})

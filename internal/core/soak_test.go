@@ -106,7 +106,7 @@ func TestSoakBatchedAndPiggyback(t *testing.T) {
 	}{
 		{"reliable", func() Config { c := cfgFor("reliable"); c.BatchWrites = true; return c }},
 		{"causal", func() Config { c := cfgFor("causal"); c.BatchWrites = true; return c }},
-		{"atomic", func() Config { c := cfgFor("atomic"); c.PiggybackWrites = true; return c }},
+		{"atomic", func() Config { return cfgFor("atomic") }},
 	}
 	for _, tcase := range cases {
 		t.Run(tcase.proto, func(t *testing.T) {

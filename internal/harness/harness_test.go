@@ -97,7 +97,9 @@ func TestAcknowledgementHierarchy(t *testing.T) {
 		Seed:             4,
 	}
 	get := func(proto string) Result {
-		res, err := Run(Options{Protocol: proto, Seed: 5, Engine: engineCfg(proto), Workload: spec})
+		cfg := engineCfg(proto)
+		cfg.CausalWrites = proto == ProtoAtomic // the paper's arm of A
+		res, err := Run(Options{Protocol: proto, Seed: 5, Engine: cfg, Workload: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,6 +118,7 @@ func TestAcknowledgementHierarchy(t *testing.T) {
 	//   R:        2w(n-1) writes+acks, +(n-1) vote request, +n(n-1) votes
 	//   C:        (w+1)(n-1) — writes and one decision, nothing else
 	//   A:        (w+1)(n-1) + (n-1) sequencer ordering for the commit
+	//             (the shipped path, writes in the commit request: 2(n-1))
 	// The hierarchy the paper's analysis implies: C < A < baseline < R —
 	// the decentralized vote round makes R quadratic in n.
 	const n, w = 5, 2

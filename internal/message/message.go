@@ -485,9 +485,9 @@ type CommitReq struct {
 	Reads   []KeyVer
 	Writes  []KeyVer
 	NWrites int
-	// WriteKV carries the write set inline when the engine is configured to
-	// piggyback writes on the commit request instead of disseminating them
-	// with causal WriteReq messages.
+	// WriteKV carries the write set inline: protocol A's shipped path and
+	// the sharded engine. It is empty under protocol A's causal-write arm,
+	// whose receivers await NWrites causal WriteReq messages instead.
 	WriteKV []KV
 }
 

@@ -72,8 +72,6 @@ type Options struct {
 	// default pace and majority views — required for Crash/Partition
 	// experiments.
 	Membership bool
-	// PiggybackWrites makes protocol A carry writes in the commit request.
-	PiggybackWrites bool
 	// BatchWrites defers protocols R/C write dissemination to one
 	// WriteBatch broadcast at commit time.
 	BatchWrites bool
@@ -123,7 +121,6 @@ type Cluster struct {
 func New(opts Options) (*Cluster, error) {
 	opts.defaults()
 	cfg := core.Config{
-		PiggybackWrites:  opts.PiggybackWrites,
 		BatchWrites:      opts.BatchWrites,
 		SnapshotReadOnly: opts.SnapshotReadOnly,
 	}
