@@ -94,13 +94,14 @@ func (e *AtomicEngine) gapProbe() {
 // request. Only the causal-write arm (Config.CausalWrites) can stall: the
 // shipped path carries every write in the ordered request itself, so gap
 // repair of the ordered stream alone catches a site up. Normally the queue
-// head waiting for disseminated writes is a transient condition — causal broadcast eventually delivers them. But a
-// site that restarts after its peers certified an index holds a
-// retransmitted commit request whose WriteReqs were consumed cluster-wide
-// before it rejoined: no peer will ever resend them, and retransmission of
-// the ordered stream cannot supply them. Only a state transfer covers that
-// index. The stall must persist across two probes before escalating so an
-// ordinary in-flight dissemination is not mistaken for a lost one.
+// head waiting for disseminated writes is a transient condition — causal
+// broadcast eventually delivers them. But a site that restarts after its
+// peers certified an index holds a retransmitted commit request whose
+// WriteReqs were consumed cluster-wide before it rejoined: no peer will
+// ever resend them, and retransmission of the ordered stream cannot supply
+// them. Only a state transfer covers that index. The stall must persist
+// across two probes before escalating so an ordinary in-flight
+// dissemination is not mistaken for a lost one.
 func (e *AtomicEngine) checkCertStall() {
 	if len(e.queue) == 0 || !e.cfg.CausalWrites {
 		e.lastStall = 0

@@ -123,10 +123,10 @@ func TestCheckpointKillRestartKillDurability(t *testing.T) {
 	post := tc.runTxn(5500*time.Millisecond, 0, false, nil, []message.KV{kv("epoch", "post")})
 
 	// Phase 3, after the rejoin has settled (the state transfer takes a few
-	// simulated seconds): commits from every site,
-	// including the restarted one — only possible once its send sequences
-	// resumed past the pre-crash numbering. This window is the "rejoin
-	// trace" handed to tracecheck below.
+	// simulated seconds): commits from every site, including the restarted
+	// one — only possible once its send sequences resumed past the
+	// pre-crash numbering. This window is the "rejoin trace" handed to
+	// tracecheck below.
 	const cutoff = 11 * time.Second
 	var phase3 []*txResult
 	for i := 0; i < 3; i++ {

@@ -266,8 +266,17 @@ func TestTCPCountersAndClose(t *testing.T) {
 		t.Fatal("no messages sent")
 	}
 	// Per-peer stats cover every site (loopback included), consistently
-	// with the host totals.
+	// with the host totals. Protocol C's heartbeat keeps sending, so compare
+	// a snapshot taken while the (monotonic) total did not move.
 	stats := hosts[0].PeerStats()
+	for {
+		after, _, _ := hosts[0].Counters()
+		if after == sent {
+			break
+		}
+		sent = after
+		stats = hosts[0].PeerStats()
+	}
 	if len(stats) != 2 {
 		t.Fatalf("PeerStats entries = %d, want 2", len(stats))
 	}
