@@ -91,7 +91,7 @@ func (e *AtomicEngine) gapProbe() {
 }
 
 // checkCertStall escalates a persistent certification stall to a snapshot
-// request. Only the causal-write arm (Config.CausalWrites) can stall: the
+// request. Only a causal-write request (see inlineWrites) can stall: the
 // shipped path carries every write in the ordered request itself, so gap
 // repair of the ordered stream alone catches a site up. Normally the queue
 // head waiting for disseminated writes is a transient condition — causal
@@ -103,12 +103,12 @@ func (e *AtomicEngine) gapProbe() {
 // across two probes before escalating so an ordinary in-flight
 // dissemination is not mistaken for a lost one.
 func (e *AtomicEngine) checkCertStall() {
-	if len(e.queue) == 0 || !e.cfg.CausalWrites {
+	if len(e.queue) == 0 {
 		e.lastStall = 0
 		return
 	}
 	head := e.queue[0]
-	if len(e.pendingWrites[head.req.Txn]) >= head.req.NWrites {
+	if inlineWrites(head.req) || len(e.pendingWrites[head.req.Txn]) >= head.req.NWrites {
 		e.lastStall = 0
 		return // deliverable; drain will handle it
 	}
@@ -271,7 +271,7 @@ func (e *AtomicEngine) scheduleDrain() {
 
 // drain certifies queued commit requests strictly in total order, each at
 // its order index by the deterministic rule every site applies identically.
-// Under CausalWrites the head stalls until every disseminated write it
+// A causal-write request at the head stalls until every write it
 // announced has arrived — all sites stall identically, so determinism is
 // preserved; causal broadcast's eventual delivery guarantees progress. The
 // maximal deliverable run is handed to the pipeline as one group so its
@@ -283,7 +283,7 @@ func (e *AtomicEngine) drain() {
 		item := e.queue[n]
 		req := item.req
 		var writes []message.KV
-		if !e.cfg.CausalWrites {
+		if inlineWrites(req) {
 			writes = req.WriteKV
 		} else {
 			writes = e.pendingWrites[req.Txn]
@@ -303,6 +303,15 @@ func (e *AtomicEngine) drain() {
 	clear(e.queue[rest:])
 	e.queue = e.queue[:rest]
 	e.submit(o)
+}
+
+// inlineWrites reports whether a commit request carries its write set. The
+// receiver decides by the request's content, not by its own Config, so a
+// site applies correctly whichever arm the sending site runs: a request
+// with values (or with no writes) certifies at once; one announcing writes
+// without values comes from a CausalWrites site and waits for them.
+func inlineWrites(req *message.CommitReq) bool {
+	return len(req.WriteKV) > 0 || req.NWrites == 0
 }
 
 // ackFor returns the acknowledgement of an ordered request: the waiting

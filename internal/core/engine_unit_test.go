@@ -121,31 +121,49 @@ func TestAtomicStorageGCAbort(t *testing.T) {
 }
 
 // TestAtomicPiggybackStreamEquivalence runs the same conflicting schedule
-// under both dissemination modes: the deterministic certification outcomes
-// must be identical.
+// under both dissemination modes and under a cluster whose sites disagree
+// on CausalWrites, as during a roll from a release that disseminated writes
+// causally by default: the deterministic certification outcomes must be
+// identical, and the replicas must converge. A receiver applies a request
+// by what it carries, not by its own setting — a site that read a
+// causal-write request as inline would install nothing, and one that
+// awaited WriteReqs for an inline request would stall.
 func TestAtomicPiggybackStreamEquivalence(t *testing.T) {
-	outcomes := func(piggy bool) []Outcome {
-		tc := newTestCluster(t, 3, "atomic", Config{CausalWrites: !piggy}, 66)
+	outcomes := func(name string, causalAt func(site int) bool) []Outcome {
+		tc := newTestClusterWith(t, 3, "atomic", Config{}, 66, func(i int, c Config) Config {
+			c.CausalWrites = causalAt(i)
+			return c
+		})
 		var rs []*txResult
 		for i := 0; i < 20; i++ {
 			rs = append(rs, tc.runTxn(time.Duration(i%5)*time.Millisecond, i%3, false,
-				keys("hot"), []message.KV{kv("hot", "v")}))
+				keys("hot"), []message.KV{kv("hot", "v"), kv(fmt.Sprintf("k%d", i), "v")}))
 		}
 		tc.run(10 * time.Second)
 		out := make([]Outcome, len(rs))
 		for i, r := range rs {
 			if !r.done {
-				t.Fatalf("txn %d unfinished (piggy=%v)", i, piggy)
+				t.Fatalf("%s: txn %d unfinished", name, i)
 			}
 			out[i] = r.outcome
 		}
+		tc.checkInvariants()
+		tc.checkNoLeaks()
 		return out
 	}
-	a := outcomes(false)
-	b := outcomes(true)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("txn %d: stream=%v piggyback=%v", i, a[i], b[i])
+	a := outcomes("stream", func(int) bool { return true })
+	for _, arm := range []struct {
+		name     string
+		causalAt func(int) bool
+	}{
+		{"piggyback", func(int) bool { return false }},
+		{"mixed", func(site int) bool { return site == 0 }},
+	} {
+		b := outcomes(arm.name, arm.causalAt)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("txn %d: stream=%v %s=%v", i, a[i], arm.name, b[i])
+			}
 		}
 	}
 }
