@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/workload"
@@ -62,14 +61,10 @@ func replicationStudy(seeds int, quick bool) error {
 	for _, proto := range protos {
 		// The experiments' per-protocol settings, so the study checks the
 		// variance of the numbers the tables report.
-		ecfg := core.Config{CausalWrites: proto == harness.ProtoAtomic}
-		if proto == harness.ProtoCausal {
-			ecfg.CausalHeartbeat = 25 * time.Millisecond
-		}
 		rep, err := harness.Replicate(harness.Options{
 			Protocol: proto,
 			Seed:     1,
-			Engine:   ecfg,
+			Engine:   harness.PaperConfig(proto),
 			Workload: workload.Spec{
 				Sites: 5, Count: count, Window: 15 * time.Second,
 				Keys: 64, HotKeys: 8, HotProb: 0.3,

@@ -120,21 +120,6 @@ func (c Config) txns(full int) int {
 
 func (c Config) seed(base int64) int64 { return base + c.Seed }
 
-// engineCfg returns the per-protocol engine defaults used across the suite.
-// Protocol A runs the paper's arm, writes disseminated by causal broadcast,
-// so its counts match the paper's analysis; the sharded engine ignores the
-// setting and E14 overrides it.
-func engineCfg(proto string) core.Config {
-	cfg := core.Config{}
-	switch proto {
-	case harness.ProtoCausal:
-		cfg.CausalHeartbeat = 25 * time.Millisecond
-	case harness.ProtoAtomic:
-		cfg.CausalWrites = true
-	}
-	return cfg
-}
-
 // All runs every experiment.
 func All(cfg Config) ([]*Report, error) {
 	runs := []func(Config) (*Report, error){
@@ -172,7 +157,7 @@ func E1Messages(cfg Config) (*Report, error) {
 			res, err := harness.Run(harness.Options{
 				Protocol: proto,
 				Seed:     cfg.seed(101),
-				Engine:   engineCfg(proto),
+				Engine:   harness.PaperConfig(proto),
 				Workload: workload.Spec{
 					Sites: n, Count: cfg.txns(200), Window: 20 * time.Second,
 					Keys: 4096, ReadsPerTxn: 1, WritesPerTxn: w, Seed: cfg.seed(11),
@@ -230,7 +215,7 @@ func E2CommitLatency(cfg Config) (*Report, error) {
 				Protocol: proto,
 				Link:     netsim.Uniform{Min: time.Millisecond, Max: 2 * time.Millisecond},
 				Seed:     cfg.seed(102),
-				Engine:   engineCfg(proto),
+				Engine:   harness.PaperConfig(proto),
 				Workload: workload.Spec{
 					Sites: n, Count: cfg.txns(200), Window: 20 * time.Second,
 					Keys: 4096, ReadsPerTxn: 1, WritesPerTxn: 2, Seed: cfg.seed(12),
@@ -272,7 +257,7 @@ func E3AbortContention(cfg Config) (*Report, error) {
 			res, err := harness.Run(harness.Options{
 				Protocol: proto,
 				Seed:     cfg.seed(103),
-				Engine:   engineCfg(proto),
+				Engine:   harness.PaperConfig(proto),
 				Workload: workload.Spec{
 					Sites: 5, Count: cfg.txns(400), Window: 10 * time.Second,
 					Keys: 512, HotKeys: 4, HotProb: p,
@@ -313,7 +298,7 @@ func E4ThroughputSites(cfg Config) (*Report, error) {
 			res, err := harness.Run(harness.Options{
 				Protocol: proto,
 				Seed:     cfg.seed(104),
-				Engine:   engineCfg(proto),
+				Engine:   harness.PaperConfig(proto),
 				Workload: workload.Spec{
 					Sites: n, Count: cfg.txns(600), Window: 15 * time.Second,
 					Keys: 128, ReadOnlyFraction: 0.2, ReadsPerTxn: 2, WritesPerTxn: 2, Seed: cfg.seed(14),
@@ -346,7 +331,7 @@ func E5WriteMix(cfg Config) (*Report, error) {
 			res, err := harness.Run(harness.Options{
 				Protocol: proto,
 				Seed:     cfg.seed(105),
-				Engine:   engineCfg(proto),
+				Engine:   harness.PaperConfig(proto),
 				Workload: workload.Spec{
 					Sites: 5, Count: cfg.txns(400), Window: 10 * time.Second,
 					Keys: 64, HotKeys: 8, HotProb: 0.5,
@@ -421,7 +406,7 @@ func E7Availability(cfg Config) (*Report, error) {
 	tbl := harness.NewTable(rep.Title, "protocol", "committed pre", "committed post", "unfinished", "skipped", "abort rate")
 	crashAt := 5 * time.Second
 	for _, proto := range []string{harness.ProtoReliable, harness.ProtoCausal, harness.ProtoAtomic} {
-		ecfg := engineCfg(proto)
+		ecfg := harness.PaperConfig(proto)
 		ecfg.FailureInterval = 50 * time.Millisecond
 		ecfg.FailureTimeout = 250 * time.Millisecond
 		res, err := harness.Run(harness.Options{
@@ -468,11 +453,13 @@ func E8Ablation(cfg Config) (*Report, error) {
 		name string
 		m    broadcast.AtomicMode
 	}{{"sequencer", broadcast.AtomicSequencer}, {"isis", broadcast.AtomicIsis}} {
+		ecfg := harness.PaperConfig(harness.ProtoAtomic)
+		ecfg.AtomicMode = mode.m
 		res, err := harness.Run(harness.Options{
 			Protocol: harness.ProtoAtomic,
 			Link:     netsim.Uniform{Min: time.Millisecond, Max: 2 * time.Millisecond},
 			Seed:     cfg.seed(108),
-			Engine:   core.Config{AtomicMode: mode.m, CausalWrites: true},
+			Engine:   ecfg,
 			Workload: workload.Spec{
 				Sites: 5, Count: cfg.txns(200), Window: 10 * time.Second,
 				Keys: 1024, ReadsPerTxn: 1, WritesPerTxn: 2, Seed: cfg.seed(18),
@@ -523,7 +510,7 @@ func E9Batching(cfg Config) (*Report, error) {
 	const w = 4
 	for _, proto := range []string{harness.ProtoReliable, harness.ProtoCausal} {
 		for _, batch := range []bool{false, true} {
-			ecfg := engineCfg(proto)
+			ecfg := harness.PaperConfig(proto)
 			ecfg.BatchWrites = batch
 			res, err := harness.Run(harness.Options{
 				Protocol: proto,
@@ -579,7 +566,7 @@ func E10Quorum(cfg Config) (*Report, error) {
 			Protocol: proto,
 			Link:     netsim.Uniform{Min: time.Millisecond, Max: 2 * time.Millisecond},
 			Seed:     cfg.seed(111),
-			Engine:   engineCfg(proto),
+			Engine:   harness.PaperConfig(proto),
 			Workload: workload.Spec{
 				Sites: 5, Count: cfg.txns(300), Window: 15 * time.Second,
 				Keys: 128, ReadOnlyFraction: 0.75,
@@ -611,7 +598,7 @@ func E10Quorum(cfg Config) (*Report, error) {
 		res, err := harness.Run(harness.Options{
 			Protocol: proto,
 			Seed:     cfg.seed(112),
-			Engine:   engineCfg(proto),
+			Engine:   harness.PaperConfig(proto),
 			Faults:   []harness.Fault{{At: crashAt, Crash: 4}},
 			Drain:    5 * time.Second,
 			Workload: workload.Spec{
@@ -677,7 +664,7 @@ func E11SlowSite(cfg Config) (*Report, error) {
 		run := func(link sim.LinkModel) harness.Result {
 			res, err := harness.Run(harness.Options{
 				Protocol: proto, Link: link, Seed: cfg.seed(113),
-				Engine: engineCfg(proto), Workload: spec,
+				Engine: harness.PaperConfig(proto), Workload: spec,
 				Drain: 60 * time.Second,
 			})
 			if err != nil {
@@ -735,7 +722,7 @@ func E12SnapshotReads(cfg Config) (*Report, error) {
 	tbl := harness.NewTable(rep.Title, "protocol", "ro reads", "mean ro latency", "p99 ro latency", "upd abort rate")
 	for _, proto := range []string{harness.ProtoReliable, harness.ProtoCausal} {
 		for _, snapshot := range []bool{false, true} {
-			ecfg := engineCfg(proto)
+			ecfg := harness.PaperConfig(proto)
 			ecfg.SnapshotReadOnly = snapshot
 			res, err := harness.Run(harness.Options{
 				Protocol: proto,
@@ -794,7 +781,7 @@ func E13GroupCommit(cfg Config) (*Report, error) {
 	n := cfg.txns(400)
 	window := time.Duration(n) * 750 * time.Microsecond
 	for _, mode := range []string{"sync-each", "group"} {
-		ecfg := engineCfg(harness.ProtoReliable)
+		ecfg := harness.PaperConfig(harness.ProtoReliable)
 		if mode == "group" {
 			ecfg.GroupCommit = commitpipe.Policy{MaxBatch: 2}
 		}
@@ -918,7 +905,7 @@ func E15CheckpointRecovery(cfg Config) (*Report, error) {
 				Protocol: harness.ProtoReliable,
 				Link:     netsim.Uniform{Min: time.Millisecond, Max: 2 * time.Millisecond},
 				Seed:     cfg.seed(150),
-				Engine:   engineCfg(harness.ProtoReliable),
+				Engine:   harness.PaperConfig(harness.ProtoReliable),
 				Workload: workload.Spec{
 					Sites: 3, Count: h, Window: time.Duration(h) * 750 * time.Microsecond,
 					Keys: 8192, ReadsPerTxn: 0, WritesPerTxn: 2, Seed: cfg.seed(51),
@@ -1010,7 +997,7 @@ func E15CheckpointRecovery(cfg Config) (*Report, error) {
 	chunkBytes := make(map[string]float64)
 	for _, h := range sizesB {
 		for _, mode := range []string{"delta", "full"} {
-			ecfg := engineCfg(harness.ProtoAtomic)
+			ecfg := harness.PaperConfig(harness.ProtoAtomic)
 			ecfg.AtomicMode = broadcast.AtomicSequencer
 			// The gap probe only runs with a failure detector; the partition
 			// stays shorter than the failure timeout so no view change
@@ -1115,7 +1102,7 @@ func E14OrdererBatching(cfg Config) (*Report, error) {
 	tput := make(map[string]float64)
 	for _, n := range sizes {
 		for _, m := range modes {
-			ecfg := engineCfg(harness.ProtoAtomic)
+			ecfg := harness.PaperConfig(harness.ProtoAtomic)
 			ecfg.AtomicMode = m.mode
 			ecfg.CausalWrites = false // the write set rides the ordered request
 			// A wide window lets the message budget (64) seal batches, so
@@ -1218,7 +1205,7 @@ func E16PartialReplication(cfg Config) (*Report, error) {
 			if arm.groups == 1 && cross > 0 {
 				continue // one group has no cross-shard transactions
 			}
-			ecfg := engineCfg(harness.ProtoAtomic)
+			ecfg := harness.PaperConfig(harness.ProtoAtomic)
 			ecfg.Shard = scfg
 			count := cfg.txns(600)
 			res, err := harness.Run(harness.Options{
@@ -1455,7 +1442,7 @@ func E17ChaosFailover(cfg Config) (*Report, error) {
 	}
 
 	for _, arm := range arms {
-		ecfg := engineCfg(harness.ProtoAtomic)
+		ecfg := harness.PaperConfig(harness.ProtoAtomic)
 		ecfg.Shard = scfg
 		ecfg.FailureInterval = 20 * time.Millisecond
 		ecfg.FailureTimeout = 100 * time.Millisecond

@@ -38,6 +38,21 @@ const (
 // baseline is extra and joins specific experiments).
 var Protocols = []string{ProtoBaseline, ProtoReliable, ProtoCausal, ProtoAtomic}
 
+// PaperConfig returns the engine settings the paper's analysis assumes for
+// a protocol: A disseminates each write by causal broadcast (the paper's
+// arm, core.Config.CausalWrites) and C runs a 25 ms null-broadcast
+// heartbeat. The experiments and the analytic message-count checks run it.
+func PaperConfig(proto string) core.Config {
+	cfg := core.Config{}
+	switch proto {
+	case ProtoCausal:
+		cfg.CausalHeartbeat = 25 * time.Millisecond
+	case ProtoAtomic:
+		cfg.CausalWrites = true
+	}
+	return cfg
+}
+
 // Options configures one experiment run.
 type Options struct {
 	// Protocol selects the engine.

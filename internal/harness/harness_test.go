@@ -97,9 +97,7 @@ func TestAcknowledgementHierarchy(t *testing.T) {
 		Seed:             4,
 	}
 	get := func(proto string) Result {
-		cfg := engineCfg(proto)
-		cfg.CausalWrites = proto == ProtoAtomic // the paper's arm of A
-		res, err := Run(Options{Protocol: proto, Seed: 5, Engine: cfg, Workload: spec})
+		res, err := Run(Options{Protocol: proto, Seed: 5, Engine: PaperConfig(proto), Workload: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
