@@ -94,8 +94,9 @@ func TestSoakLargeCluster(t *testing.T) {
 	}
 }
 
-// TestSoakBatchedAndPiggyback repeats a reduced soak under the extension
-// configurations (batched dissemination; piggybacked certification).
+// TestSoakBatchedAndPiggyback repeats a reduced soak under the configurations
+// TestSoak does not run: batched dissemination for R and C, and protocol A's
+// causal-write arm (TestSoak runs A's shipped, piggybacked path).
 func TestSoakBatchedAndPiggyback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in short mode")
@@ -106,7 +107,7 @@ func TestSoakBatchedAndPiggyback(t *testing.T) {
 	}{
 		{"reliable", func() Config { c := cfgFor("reliable"); c.BatchWrites = true; return c }},
 		{"causal", func() Config { c := cfgFor("causal"); c.BatchWrites = true; return c }},
-		{"atomic", func() Config { return cfgFor("atomic") }},
+		{"atomic", func() Config { c := cfgFor("atomic"); c.CausalWrites = true; return c }},
 	}
 	for _, tcase := range cases {
 		t.Run(tcase.proto, func(t *testing.T) {
