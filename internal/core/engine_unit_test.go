@@ -325,3 +325,39 @@ func TestSnapshotReadOnlyAblation(t *testing.T) {
 		})
 	}
 }
+
+// TestCausalViewChangeReleasesOrphansInTxnOrder: when a view change drops
+// a site, protocol C releases the locks of the transactions that site
+// homed, and each release resumes the local reads queued behind it. The
+// releases must run in transaction order, not map order, so every seeded
+// run resumes the readers identically.
+func TestCausalViewChangeReleasesOrphansInTxnOrder(t *testing.T) {
+	for seed := int64(70); seed < 90; seed++ {
+		tc := newTestCluster(t, 3, "causal", failureCfg("causal"), seed)
+		e := tc.engines[0].(*CausalEngine)
+		var resumed []message.Key
+		tc.c.Schedule(100*time.Millisecond, func() {
+			for i, key := range []message.Key{"a", "b"} {
+				w := &message.WriteReq{Txn: message.TxnID{Site: 2, Seq: uint64(100 + i)}, OpSeq: 1, Key: key, Value: message.Value("v")}
+				e.deliver(broadcast.Delivery{Class: message.ClassCausal, Origin: 2, Payload: w})
+			}
+			for _, key := range []message.Key{"b", "a"} {
+				key := key
+				e.Read(e.Begin(true), key, func(_ message.Value, err error) {
+					if err != nil {
+						t.Errorf("seed %d: read %s: %v", seed, key, err)
+					}
+					resumed = append(resumed, key)
+				})
+			}
+			if len(resumed) != 0 {
+				t.Fatalf("seed %d: reads %v ran before the orphans' locks were released", seed, resumed)
+			}
+			tc.c.Crash(2)
+		})
+		tc.run(2 * time.Second)
+		if fmt.Sprint(resumed) != "[a b]" {
+			t.Fatalf("seed %d: readers resumed in order %v, want [a b] (the orphans' txn order)", seed, resumed)
+		}
+	}
+}
