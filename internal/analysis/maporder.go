@@ -14,6 +14,8 @@ import (
 //
 //   - a call whose name looks like message emission (send, broadcast,
 //     deliver, emit, publish, enqueue): the network observes the order;
+//     or like a lock release: the lock table's grant callbacks resume
+//     queued waiters in the order of release;
 //   - an assignment or append to a slice variable declared outside the
 //     loop: the accumulated order escapes the loop — unless the same
 //     variable is sorted in the enclosing function (the collect-then-sort
@@ -27,9 +29,10 @@ var MapOrder = &Analyzer{
 	Run:  runMapOrder,
 }
 
-// emitName matches function or method names that put a message on the wire
-// or hand a delivery to the layer above.
-var emitName = regexp.MustCompile(`(?i)(send|broadcast|deliver|emit|publish|enqueue)`)
+// emitName matches function or method names that put a message on the wire,
+// hand a delivery to the layer above, or release locks (whose grant
+// callbacks run waiters in release order).
+var emitName = regexp.MustCompile(`(?i)(send|broadcast|deliver|emit|publish|enqueue|release)`)
 
 // sortCalls are the sort entry points that launder an accumulation's order.
 var sortCalls = map[string]map[string]bool{

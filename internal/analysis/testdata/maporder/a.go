@@ -8,6 +8,7 @@ type peer struct{}
 func (p *peer) sendMsg(v int)   {}
 func (p *peer) observe(v int)   {}
 func deliverUp(v int)           {}
+func releaseAll(v int)          {}
 func recordLocally(m map[int]int, k int) { m[k] = 1 }
 
 // badEmit puts messages on the wire in map order.
@@ -21,6 +22,26 @@ func badEmit(p *peer, pend map[int]int) {
 func badDeliver(pend map[int]int) {
 	for _, v := range pend {
 		deliverUp(v) // want "deliverUp called inside range over map: message order is nondeterministic"
+	}
+}
+
+// badRelease releases locks in map order: the grant callbacks resume the
+// released keys' waiters in that order.
+func badRelease(pend map[int]int) {
+	for k := range pend {
+		releaseAll(k) // want "releaseAll called inside range over map: message order is nondeterministic"
+	}
+}
+
+// goodSortedRelease releases in sorted order.
+func goodSortedRelease(pend map[int]int) {
+	var keys []int
+	for k := range pend {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	for _, k := range keys {
+		releaseAll(k)
 	}
 }
 
