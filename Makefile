@@ -48,6 +48,8 @@ tracecheck:
 	$(GO) build -o $(BIN)/tracecheck ./cmd/tracecheck
 	$(BIN)/simtrace -proto reliable -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck
 	$(BIN)/simtrace -proto causal -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck
+	$(BIN)/simtrace -proto baseline -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck
+	$(BIN)/simtrace -proto quorum -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck
 	$(BIN)/simtrace -proto atomic -atomic-mode sequencer -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck
 	$(BIN)/simtrace -proto atomic -atomic-mode isis -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck
 	$(BIN)/simtrace -proto atomic -atomic-mode batch -sites 3 -txns 25 -seed 7 -export - | $(BIN)/tracecheck

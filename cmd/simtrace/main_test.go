@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // byte-identical run to run. A diff here means either the export format or
 // the protocols' emission changed; regenerate with -update when intended.
 func TestGoldenExport(t *testing.T) {
-	for _, proto := range []string{"reliable", "causal", "atomic"} {
+	for _, proto := range []string{"reliable", "causal", "atomic", "baseline", "quorum"} {
 		t.Run(proto, func(t *testing.T) {
 			o := simOpts{proto: proto, sites: 3, txns: 5, seed: 7,
 				atomicMode: "sequencer", traceCap: 1 << 12}
