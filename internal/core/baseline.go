@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/env"
-	"repro/internal/lockmgr"
 	"repro/internal/message"
 	"repro/internal/trace"
 )
@@ -15,28 +14,17 @@ import (
 // coordinator, decision. It exists as the measured baseline for the
 // broadcast protocols' message and latency comparisons.
 type BaselineEngine struct {
-	*base
-	remote map[message.TxnID]*rtxnB
-}
-
-// rtxnB is a site's replica-side state for one update transaction.
-type rtxnB struct {
-	replica
-	voted bool
+	lockedReplica
 }
 
 var _ Engine = (*BaselineEngine)(nil)
 
 // NewBaseline creates a baseline engine on rt.
 func NewBaseline(rt env.Runtime, cfg Config) *BaselineEngine {
-	e := &BaselineEngine{
-		base:   newBase(rt, cfg, "baseline"),
-		remote: make(map[message.TxnID]*rtxnB),
-	}
+	e := &BaselineEngine{}
 	// The baseline runs without the broadcast stack; views are still
 	// available for failure experiments.
-	e.initViews(nil)
-	e.initCheckpoint(nil)
+	e.lockedReplica = newLockedReplica(rt, cfg, "baseline", e, nil, nil)
 	return e
 }
 
@@ -52,7 +40,7 @@ func (e *BaselineEngine) Receive(from message.SiteID, m message.Message) {
 	case *message.UWrite:
 		e.onUWrite(t)
 	case *message.UWriteAck:
-		e.onAck(*t)
+		e.onAck(message.WriteAck(*t))
 	case *message.Wound:
 		e.onWound(t)
 	case *message.Prepare:
@@ -64,14 +52,6 @@ func (e *BaselineEngine) Receive(from message.SiteID, m message.Message) {
 	default:
 		e.rt.Logf("baseline: unexpected %v from %v", m.Kind(), from)
 	}
-}
-
-// Begin implements Engine.
-func (e *BaselineEngine) Begin(readOnly bool) *Tx { return e.begin(readOnly) }
-
-// Read implements Engine.
-func (e *BaselineEngine) Read(tx *Tx, key message.Key, cb func(message.Value, error)) {
-	e.readWithWounds(tx, key, cb)
 }
 
 // Write implements Engine: unicast to every site, one operation in flight
@@ -91,17 +71,9 @@ func (e *BaselineEngine) pump(tx *Tx) {
 	}
 	if tx.nextOp < len(tx.writes) {
 		op := tx.writes[tx.nextOp]
-		tx.opInFlight = true
-		tx.ackWait = append(tx.ackWait[:0], e.members()...)
 		w := &message.UWrite{Txn: tx.ID, OpSeq: tx.nextOp + 1, Key: op.Key, Value: op.Value}
-		tx.opSentAt = e.rt.Now()
-		e.tr.Point(tx.ID, trace.KindWriteSend, uint64(w.OpSeq), e.rt.ID(), 1)
-		for _, s := range e.members() {
-			if s == e.rt.ID() {
-				continue
-			}
-			e.rt.Send(s, w)
-		}
+		e.sendOp(tx, uint64(w.OpSeq), 1)
+		e.sendOthers(w)
 		e.onUWrite(w) // local replica processes the same operation
 		return
 	}
@@ -109,109 +81,39 @@ func (e *BaselineEngine) pump(tx *Tx) {
 		// Centralized 2PC phase one.
 		tx.commitAt = e.rt.Now()
 		e.tr.Point(tx.ID, trace.KindCommitReq, 0, e.rt.ID(), 0)
-		for _, s := range e.members() {
-			if s == e.rt.ID() {
-				continue
-			}
-			e.rt.Send(s, &message.Prepare{Txn: tx.ID})
-		}
-		r := e.rtxn(tx.ID)
-		r.voted = true // coordinator's own vote
-		tx.ackWait = tx.ackWait[:0]
-		for _, s := range e.members() {
-			if s != e.rt.ID() {
-				tx.ackWait = append(tx.ackWait, s)
-			}
-		}
+		e.sendOthers(&message.Prepare{Txn: tx.ID})
+		tx.ackWait = dropSite(append(tx.ackWait[:0], e.members()...), e.rt.ID())
 		if len(tx.ackWait) == 0 {
 			e.decide(tx, true)
 		}
 	}
 }
 
-// Commit implements Engine.
-func (e *BaselineEngine) Commit(tx *Tx, cb func(Outcome, AbortReason)) {
-	if tx.state == txDone {
-		cb(tx.outcome, tx.reason)
-		return
-	}
-	tx.commitCB = cb
-	if tx.state == txCommitWait {
-		return
-	}
-	if !tx.wrote {
-		e.locks.ReleaseAll(tx.ID)
-		e.finish(tx, Committed, ReasonNone)
-		return
-	}
+// startCommit runs centralized 2PC once every write is acknowledged.
+func (e *BaselineEngine) startCommit(tx *Tx) {
 	tx.state = txCommitWait
 	e.pump(tx)
 }
 
-// Abort implements Engine.
-func (e *BaselineEngine) Abort(tx *Tx) {
-	if tx.state != txActive {
-		return
-	}
-	e.abortGlobal(tx, ReasonClient)
-}
-
-// abortGlobal spreads the abort decision to every site that may hold state.
-func (e *BaselineEngine) abortGlobal(tx *Tx, reason AbortReason) {
+// abortLocal spreads the abort decision to every site that may hold state.
+func (e *BaselineEngine) abortLocal(tx *Tx, reason AbortReason) {
 	if tx.state == txDone {
 		return
 	}
-	opsSent := tx.nextOp
-	if tx.opInFlight {
-		opsSent++
-	}
-	if opsSent > 0 {
-		d := &message.PDecision{Txn: tx.ID, Commit: false}
-		for _, s := range e.members() {
-			if s == e.rt.ID() {
-				continue
-			}
-			e.rt.Send(s, d)
-		}
-		e.onDecision(d)
+	if opsSent(tx, false) > 0 {
+		e.announce(&message.PDecision{Txn: tx.ID, Commit: false})
 	} else {
 		e.locks.ReleaseAll(tx.ID)
 	}
 	e.finish(tx, Aborted, reason)
 }
 
-func (e *BaselineEngine) rtxn(id message.TxnID) *rtxnB {
-	r := e.remote[id]
-	if r == nil {
-		r = &rtxnB{replica: replica{id: id}}
-		e.remote[id] = r
-	}
-	return r
-}
-
-// woundYounger applies the wound-wait rule for a request: every younger
-// transaction the request would wait behind — current holders and
-// already-queued incompatible waiters — is wounded (its home site aborts it
-// globally). Older ones are waited for.
-func (e *BaselineEngine) woundYounger(requester message.TxnID, key message.Key, mode lockmgr.Mode) {
-	for _, other := range e.locks.ConflictingHolders(requester, key, mode) {
-		if requester.Less(other) {
-			e.wound(other)
-		}
-	}
-	for _, other := range e.locks.ConflictingWaiters(requester, key, mode) {
-		if requester.Less(other) {
-			e.wound(other)
-		}
-	}
-}
-
 // Read implements Engine, adding the wound-wait rule to the shared locking
 // read: an old reader must not silently wait behind a young writer, or
 // waits-for cycles become possible across sites.
-func (e *BaselineEngine) readWithWounds(tx *Tx, key message.Key, cb func(message.Value, error)) {
+func (e *BaselineEngine) Read(tx *Tx, key message.Key, cb func(message.Value, error)) {
 	if tx.state == txActive && !tx.wrote {
-		e.woundYounger(tx.ID, key, lockShared)
+		e.woundYounger(tx.ID, key, lockShared, e.wound)
 	}
 	e.lockingRead(tx, key, cb)
 }
@@ -224,7 +126,7 @@ func (e *BaselineEngine) onUWrite(w *message.UWrite) {
 	if r.doomed {
 		return
 	}
-	e.woundYounger(w.Txn, w.Key, lockExclusive)
+	e.woundYounger(w.Txn, w.Key, lockExclusive, e.wound)
 	grant := func() {
 		rr := e.remote[w.Txn]
 		if rr == nil || rr.doomed {
@@ -242,7 +144,7 @@ func (e *BaselineEngine) onUWrite(w *message.UWrite) {
 // this site is the home. Only the message that leaves the site is boxed.
 func (e *BaselineEngine) sendAck(a message.UWriteAck) {
 	if a.Txn.Site == e.rt.ID() {
-		e.onAck(a)
+		e.onAck(message.WriteAck(a))
 		return
 	}
 	out := a // boxing &a instead would move a to the heap on the self path too
@@ -272,38 +174,19 @@ func (e *BaselineEngine) onWound(w *message.Wound) {
 		// decide promptly.)
 		return
 	}
-	e.abortGlobal(tx, ReasonWounded)
+	e.abortLocal(tx, ReasonWounded)
 }
 
 // onAck advances the home site's write pipeline.
-func (e *BaselineEngine) onAck(a message.UWriteAck) {
-	tx := e.local[a.Txn]
-	if tx == nil || tx.state == txDone || !tx.opInFlight || a.OpSeq != tx.nextOp+1 {
-		return
-	}
-	okBit := int64(0)
-	if a.OK {
-		okBit = 1
-	}
-	e.tr.Point(tx.ID, trace.KindAck, uint64(a.OpSeq), a.By, okBit)
-	if !a.OK {
-		e.abortGlobal(tx, ReasonWriteConflict)
-		return
-	}
-	tx.ackWait = dropSite(tx.ackWait, a.By)
-	if len(tx.ackWait) == 0 {
-		e.tr.Interval(tx.ID, trace.KindAckWait, tx.opSentAt, uint64(a.OpSeq), e.rt.ID(), 0)
-		tx.opInFlight = false
-		tx.nextOp++
+func (e *BaselineEngine) onAck(a message.WriteAck) {
+	if tx := e.acked(a, false); tx != nil {
 		e.pump(tx)
 	}
 }
 
 // onPrepare votes to the coordinator (phase one of centralized 2PC).
 func (e *BaselineEngine) onPrepare(from message.SiteID, p *message.Prepare) {
-	r := e.rtxn(p.Txn)
-	yes := !r.doomed
-	r.voted = true
+	yes := !e.rtxn(p.Txn).doomed
 	e.rt.Send(from, &message.PrepareVote{Txn: p.Txn, By: e.rt.ID(), Yes: yes})
 }
 
@@ -332,16 +215,24 @@ func (e *BaselineEngine) onVote(v *message.PrepareVote) {
 // participant and applied locally. Commits finish through the pipeline's
 // durability ack inside onDecision; aborts finish immediately.
 func (e *BaselineEngine) decide(tx *Tx, commit bool) {
-	d := &message.PDecision{Txn: tx.ID, Commit: commit}
-	for _, s := range e.members() {
-		if s == e.rt.ID() {
-			continue
-		}
-		e.rt.Send(s, d)
-	}
-	e.onDecision(d)
+	e.announce(&message.PDecision{Txn: tx.ID, Commit: commit})
 	if !commit {
 		e.finish(tx, Aborted, ReasonViewChange)
+	}
+}
+
+// announce unicasts a decision to every participant and applies it here.
+func (e *BaselineEngine) announce(d *message.PDecision) {
+	e.sendOthers(d)
+	e.onDecision(d)
+}
+
+// sendOthers unicasts m to every other member of the view.
+func (e *BaselineEngine) sendOthers(m message.Message) {
+	for _, s := range e.members() {
+		if s != e.rt.ID() {
+			e.rt.Send(s, m)
+		}
 	}
 }
 
@@ -359,17 +250,9 @@ func (e *BaselineEngine) onDecision(d *message.PDecision) {
 		return
 	}
 	if d.Commit {
-		e.commitPipelined(&r.replica, func() {
-			e.locks.ReleaseAll(d.Txn)
-			delete(e.remote, d.Txn)
-		})
+		e.commitReplica(r)
 		return
 	}
-	r.doomed = true
-	e.locks.ReleaseAll(d.Txn)
+	e.discard(r)
 	delete(e.remote, d.Txn)
 }
-
-// PendingRemote returns the number of replica-side transaction records
-// still held (leak oracle for tests).
-func (e *BaselineEngine) PendingRemote() int { return len(e.remote) }

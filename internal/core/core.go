@@ -790,36 +790,22 @@ func dropSite(pending []message.SiteID, s message.SiteID) []message.SiteID {
 	return pending
 }
 
-// replica is the record a lock-based engine (protocols R, C, and the ROWA
-// baseline) keeps at every site for one update transaction: the writes
-// staged under its exclusive locks, and the pipeline entry that installs
-// them, kept here so a commit allocates no entry slice.
-type replica struct {
-	id     message.TxnID
-	staged []message.KV
-	doomed bool
-	entry  [1]commitpipe.Entry
-}
-
-// commitPipelined feeds a decided lock-based commit through the shared
-// pipeline: install r's staged writes at the next local commit index, run
-// applied (lock release, replica-record cleanup) after the versions are
-// visible, and — at the home site, the only one where a client waits —
-// acknowledge the client's callback once the commit is durable under the
-// group-commit policy, or tell it the commit is not durable here.
-func (b *base) commitPipelined(r *replica, applied func()) {
-	r.entry[0] = commitpipe.Entry{Writes: r.staged}
-	t := commitpipe.Txn{ID: r.id, Entries: r.entry[:], Applied: applied}
-	if tx := b.local[r.id]; tx != nil {
-		t.Ack = func(durable bool) {
-			if durable {
-				b.finish(tx, Committed, ReasonNone)
-			} else {
-				b.finish(tx, Aborted, ReasonStorage)
-			}
+// woundYounger applies the wound-wait rule at this replica for a request
+// (the baseline's and quorum's deadlock avoidance): every younger
+// transaction the request would wait behind — current holders and
+// already-queued incompatible waiters — is wounded, its home site told to
+// abort it. Older ones are waited for.
+func (b *base) woundYounger(requester message.TxnID, key message.Key, mode lockmgr.Mode, wound func(victim message.TxnID)) {
+	for _, other := range b.locks.ConflictingHolders(requester, key, mode) {
+		if requester.Less(other) {
+			wound(other)
 		}
 	}
-	b.pipe.Submit(t)
+	for _, other := range b.locks.ConflictingWaiters(requester, key, mode) {
+		if requester.Less(other) {
+			wound(other)
+		}
+	}
 }
 
 // Stats returns the engine's counters.

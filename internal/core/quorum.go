@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/commitpipe"
 	"repro/internal/env"
-	"repro/internal/lockmgr"
 	"repro/internal/message"
 	"repro/internal/sgraph"
 	"repro/internal/trace"
@@ -155,7 +154,7 @@ func (e *QuorumEngine) onReadReq(_ message.SiteID, req *message.QReadReq) {
 	if r.released {
 		return // transaction already ended here
 	}
-	e.woundYounger(req.Txn, req.Key, lockShared)
+	e.woundYounger(req.Txn, req.Key, lockShared, e.wound)
 	reply := func() {
 		rr := e.remote[req.Txn]
 		if rr == nil || rr.released {
@@ -280,23 +279,10 @@ func (e *QuorumEngine) rtxn(id message.TxnID) *qRemote {
 	return r
 }
 
-// woundYounger applies wound-wait at this replica, exactly as the ROWA
-// baseline does.
-func (e *QuorumEngine) woundYounger(requester message.TxnID, key message.Key, mode lockmgr.Mode) {
-	wound := func(victim message.TxnID) {
-		w := &message.Wound{Txn: victim, By: e.rt.ID()}
-		e.sendOrLocal(victim.Site, w, func() { e.onWound(w) })
-	}
-	for _, other := range e.locks.ConflictingHolders(requester, key, mode) {
-		if requester.Less(other) {
-			wound(other)
-		}
-	}
-	for _, other := range e.locks.ConflictingWaiters(requester, key, mode) {
-		if requester.Less(other) {
-			wound(other)
-		}
-	}
+// wound notifies a younger transaction's home site to abort it.
+func (e *QuorumEngine) wound(victim message.TxnID) {
+	w := &message.Wound{Txn: victim, By: e.rt.ID()}
+	e.sendOrLocal(victim.Site, w, func() { e.onWound(w) })
 }
 
 // onLockReq acquires the write set one key at a time (sorted order) with
@@ -314,7 +300,7 @@ func (e *QuorumEngine) onLockReq(_ message.SiteID, req *message.QLockReq) {
 func (e *QuorumEngine) acquireNext(r *qRemote) {
 	for len(r.lockKeys) > 0 {
 		key := r.lockKeys[0]
-		e.woundYounger(r.id, key, lockExclusive)
+		e.woundYounger(r.id, key, lockExclusive, e.wound)
 		granted := false
 		res := e.locks.Acquire(r.id, key, lockExclusive, true, func() {
 			rr := e.remote[r.id]
