@@ -11,7 +11,7 @@ import (
 
 // AtomicEngine implements protocol A: the commit request, carrying the
 // transaction's write set, is delivered by atomic broadcast. (Under
-// Config.CausalWrites, the paper's arm, each write is instead disseminated
+// Config.PerOpWrites, the paper's arm, each write is instead disseminated
 // by causal broadcast as it is staged.) Because every site
 // processes the identical total order of commit requests with the identical
 // deterministic certification rule, no acknowledgements of any kind are
@@ -169,7 +169,7 @@ func (e *AtomicEngine) Write(tx *Tx, key message.Key, val message.Value) error {
 	if err := e.bufferWrite(tx, key, val); err != nil {
 		return err
 	}
-	if e.cfg.CausalWrites {
+	if e.cfg.PerOpWrites {
 		e.tr.Point(tx.ID, trace.KindWriteSend, uint64(len(tx.writes)), e.rt.ID(), 1)
 		e.stack.Broadcast(message.ClassCausal, &message.WriteReq{
 			Txn: tx.ID, OpSeq: len(tx.writes), Key: key, Value: val,
@@ -208,7 +208,7 @@ func (e *AtomicEngine) Commit(tx *Tx, cb func(Outcome, AbortReason)) {
 		}
 		req.Writes = append(req.Writes, message.KeyVer{Key: w.Key, Ver: ver})
 	}
-	if !e.cfg.CausalWrites {
+	if !e.cfg.PerOpWrites {
 		req.WriteKV = writes
 		e.tr.Point(tx.ID, trace.KindWriteSend, 0, e.rt.ID(), int64(len(writes)))
 	}
@@ -222,7 +222,7 @@ func (e *AtomicEngine) Abort(tx *Tx) {
 	if tx.state != txActive {
 		return
 	}
-	if e.cfg.CausalWrites && len(tx.writes) > 0 {
+	if e.cfg.PerOpWrites && len(tx.writes) > 0 {
 		// Tell peers to drop the disseminated writes; causal FIFO delivers
 		// this after every one of them.
 		e.stack.Broadcast(message.ClassCausal, &message.Decision{Txn: tx.ID, Commit: false, NOps: len(tx.writes)})
@@ -309,7 +309,7 @@ func (e *AtomicEngine) drain() {
 // receiver decides by the request's content, not by its own Config, so a
 // site applies correctly whichever arm the sending site runs: a request
 // with values (or with no writes) certifies at once; one announcing writes
-// without values comes from a CausalWrites site and waits for them.
+// without values comes from a PerOpWrites site and waits for them.
 func inlineWrites(req *message.CommitReq) bool {
 	return len(req.WriteKV) > 0 || req.NWrites == 0
 }

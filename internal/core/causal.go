@@ -90,15 +90,16 @@ func (e *CausalEngine) Receive(from message.SiteID, m message.Message) {
 	}
 }
 
-// Write implements Engine. Unlike protocol R there is no per-operation
-// acknowledgement wait: causal FIFO delivery lets the home site pipeline
-// all its writes back to back. With Config.BatchWrites dissemination is
-// deferred entirely to commit time.
+// Write implements Engine. The write set is broadcast in one WriteBatch
+// at commit. Under Config.PerOpWrites, the paper's arm, each write is
+// broadcast as it is staged; unlike protocol R there is no per-operation
+// acknowledgement wait, since causal FIFO delivery lets the home site
+// pipeline all its writes back to back.
 func (e *CausalEngine) Write(tx *Tx, key message.Key, val message.Value) error {
 	if err := e.bufferWrite(tx, key, val); err != nil {
 		return err
 	}
-	if e.cfg.BatchWrites {
+	if !e.cfg.PerOpWrites {
 		return nil
 	}
 	e.tr.Point(tx.ID, trace.KindWriteSend, uint64(len(tx.writes)), e.rt.ID(), 1)
@@ -110,12 +111,13 @@ func (e *CausalEngine) Write(tx *Tx, key message.Key, val message.Value) error {
 	return nil
 }
 
-// startCommit disseminates a deferred write batch, then waits for the
-// implicit acknowledgements of every write.
+// startCommit disseminates the write batch (unless each write went out as
+// it was staged), then waits for the implicit acknowledgements of every
+// write.
 func (e *CausalEngine) startCommit(tx *Tx) {
 	tx.commitAt = e.rt.Now()
 	e.tr.Point(tx.ID, trace.KindCommitReq, 0, e.rt.ID(), 0)
-	if e.cfg.BatchWrites && !tx.opInFlight {
+	if !e.cfg.PerOpWrites && !tx.opInFlight {
 		// opInFlight doubles as "batch disseminated" here: it must be set
 		// before the broadcast because the local self-delivery can refuse
 		// the batch and abort the transaction re-entrantly, and that abort
@@ -141,7 +143,7 @@ func (e *CausalEngine) abortLocal(tx *Tx, reason AbortReason) {
 	}
 	delete(e.waiting, tx.ID)
 	disseminated := len(tx.writes) > 0
-	if e.cfg.BatchWrites {
+	if !e.cfg.PerOpWrites {
 		disseminated = tx.opInFlight
 	}
 	if disseminated {

@@ -162,18 +162,18 @@ type Config struct {
 	// take the broadcast package defaults.
 	AtomicBatchWindow time.Duration
 	AtomicBatchMsgs   int
-	// CausalWrites selects protocol A's paper arm: each write is
-	// disseminated by causal broadcast as it is staged, and certification
-	// waits for them behind the ordered commit request. The zero value
-	// ships the cheaper path, where the write set rides inside the commit
-	// request: 2(n-1) messages per update commit instead of (w+2)(n-1).
-	// The experiments set it to keep the paper's analytic counts.
-	CausalWrites bool
-	// BatchWrites defers write dissemination to commit time for protocols
-	// R and C: the whole write set travels in one WriteBatch broadcast that
-	// receivers lock all-or-nothing. Fewer messages, no per-operation
-	// pipelining.
-	BatchWrites bool
+	// PerOpWrites selects the paper's per-operation write dissemination.
+	// Protocols R and C broadcast each write as it is staged (R waits for
+	// every site's acknowledgement before the next); protocol A sends each
+	// write by causal broadcast beside its ordered commit request, and
+	// certification waits for them. The zero value ships the cheaper
+	// paths: R and C send the deduplicated write set in one WriteBatch at
+	// commit, locked all-or-nothing by receivers, and A carries it inside
+	// the commit request (2(n-1) messages per update commit instead of
+	// (w+2)(n-1)). Receivers apply whichever form arrives, so sites on
+	// either setting interoperate. The experiments set it to keep the
+	// paper's analytic counts.
+	PerOpWrites bool
 	// SnapshotReadOnly lets read-only transactions in the lock-based
 	// engines (R, C, baseline) read the latest committed versions without
 	// shared locks. Their reads then never block behind writers and — more

@@ -505,7 +505,7 @@ func TestAtomicCertificationAbort(t *testing.T) {
 func TestAtomicPiggybackAndIsis(t *testing.T) {
 	cfgs := map[string]Config{
 		"piggyback": {},
-		"isis":      {AtomicMode: broadcast.AtomicIsis, CausalWrites: true},
+		"isis":      {AtomicMode: broadcast.AtomicIsis, PerOpWrites: true},
 		"both":      {AtomicMode: broadcast.AtomicIsis},
 	}
 	for name, cfg := range cfgs {
@@ -642,58 +642,72 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestBatchedWrites runs the deferred-write ablation (Config.BatchWrites)
-// for protocols R and C under a contended random workload: all global
-// invariants must hold exactly as in streaming mode.
+// TestBatchedWrites runs both write arms of protocols R and C under a
+// contended random workload: per-operation dissemination
+// (Config.PerOpWrites), the shipped one-batch-at-commit path, and a mixed
+// cluster whose site 0 alone runs per-operation, as during a rolling
+// upgrade. Receivers apply whichever form arrives, so all global
+// invariants must hold in every arm.
 func TestBatchedWrites(t *testing.T) {
+	arms := []struct {
+		name  string
+		perOp func(site int) bool
+	}{
+		{"per-op", func(int) bool { return true }},
+		{"batch", func(int) bool { return false }},
+		{"mixed", func(site int) bool { return site == 0 }},
+	}
 	for _, proto := range []string{"reliable", "causal"} {
 		t.Run(proto, func(t *testing.T) {
-			cfg := cfgFor(proto)
-			cfg.BatchWrites = true
-			tc := newTestCluster(t, 4, proto, cfg, 77)
-			r := rand.New(rand.NewSource(8))
-			var results []*txResult
-			for i := 0; i < 120; i++ {
-				site := r.Intn(4)
-				at := time.Duration(r.Intn(6000)) * time.Millisecond
-				ro := r.Float64() < 0.25
-				var rd []message.Key
-				rd = append(rd, message.Key(fmt.Sprintf("k%d", r.Intn(8))))
-				var wr []message.KV
-				if !ro {
-					for k := 0; k < 1+r.Intn(3); k++ {
-						wr = append(wr, kv(fmt.Sprintf("k%d", r.Intn(8)), fmt.Sprintf("b%d", i)))
+			for _, arm := range arms {
+				t.Run(arm.name, func(t *testing.T) {
+					tc := newTestClusterWith(t, 4, proto, cfgFor(proto), 77, func(i int, c Config) Config {
+						c.PerOpWrites = arm.perOp(i)
+						return c
+					})
+					r := rand.New(rand.NewSource(8))
+					var results []*txResult
+					for i := 0; i < 120; i++ {
+						site := r.Intn(4)
+						at := time.Duration(r.Intn(6000)) * time.Millisecond
+						ro := r.Float64() < 0.25
+						var rd []message.Key
+						rd = append(rd, message.Key(fmt.Sprintf("k%d", r.Intn(8))))
+						var wr []message.KV
+						if !ro {
+							for k := 0; k < 1+r.Intn(3); k++ {
+								wr = append(wr, kv(fmt.Sprintf("k%d", r.Intn(8)), fmt.Sprintf("b%d", i)))
+							}
+						}
+						results = append(results, tc.runTxn(at, site, ro, rd, wr))
 					}
-				}
-				results = append(results, tc.runTxn(at, site, ro, rd, wr))
+					tc.run(60 * time.Second)
+					committed := 0
+					for i, res := range results {
+						if !res.done {
+							t.Fatalf("txn %d unfinished", i)
+						}
+						if res.outcome == Committed {
+							committed++
+						}
+					}
+					if committed == 0 {
+						t.Fatal("nothing committed")
+					}
+					tc.checkInvariants()
+					tc.checkNoLeaks()
+				})
 			}
-			tc.run(60 * time.Second)
-			committed := 0
-			for i, res := range results {
-				if !res.done {
-					t.Fatalf("txn %d unfinished", i)
-				}
-				if res.outcome == Committed {
-					committed++
-				}
-			}
-			if committed == 0 {
-				t.Fatal("nothing committed")
-			}
-			tc.checkInvariants()
-			tc.checkNoLeaks()
 		})
 	}
 }
 
-// TestBatchedAbortPaths exercises batch refusal and client aborts in batch
-// mode.
+// TestBatchedAbortPaths exercises batch refusal and client aborts on the
+// shipped batch path.
 func TestBatchedAbortPaths(t *testing.T) {
 	for _, proto := range []string{"reliable", "causal"} {
 		t.Run(proto, func(t *testing.T) {
-			cfg := cfgFor(proto)
-			cfg.BatchWrites = true
-			tc := newTestCluster(t, 3, proto, cfg, 78)
+			tc := newTestCluster(t, 3, proto, cfgFor(proto), 78)
 			// Two head-on batched writers on the same key: at most one
 			// commits.
 			a := tc.runTxn(time.Millisecond, 0, false, nil, []message.KV{kv("x", "A"), kv("y", "A")})

@@ -27,7 +27,7 @@ type groupHarness struct {
 // that announced it must certify and install without any WriteReq arriving.
 func atomicHarness(t *testing.T) *groupHarness {
 	c := sim.NewCluster(3, netsim.Uniform{Min: time.Millisecond, Max: time.Millisecond}, 1)
-	e := NewAtomic(c.Runtime(2), Config{CausalWrites: true})
+	e := NewAtomic(c.Runtime(2), Config{PerOpWrites: true})
 	txn := message.TxnID{Site: 1, Seq: 7}
 	return &groupHarness{
 		g:     e.replicaGroup,
@@ -234,7 +234,7 @@ func TestGroupChunkReassembly(t *testing.T) {
 // after it.
 func TestGroupSyncStateRedrivesQueue(t *testing.T) {
 	c := sim.NewCluster(3, netsim.Uniform{Min: time.Millisecond, Max: time.Millisecond}, 1)
-	e := NewAtomic(c.Runtime(2), Config{CausalWrites: true})
+	e := NewAtomic(c.Runtime(2), Config{PerOpWrites: true})
 	txn := message.TxnID{Site: 1, Seq: 1}
 	e.Receive(1, &message.Bcast{Class: message.ClassAtomic, Origin: 1, Seq: 1,
 		Payload: &message.CommitReq{Txn: txn, NWrites: 1}})

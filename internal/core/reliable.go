@@ -64,15 +64,16 @@ func (e *ReliableEngine) Receive(from message.SiteID, m message.Message) {
 	}
 }
 
-// Write implements Engine. The paper's protocol broadcasts each write
-// operation and blocks the transaction until every site has acknowledged
-// it; the engine realizes that as a one-op-in-flight pipeline. With
-// Config.BatchWrites the dissemination is deferred to commit time instead.
+// Write implements Engine. The write set is broadcast in one WriteBatch
+// at commit. Under Config.PerOpWrites, the paper's arm, each write
+// operation is broadcast as it is staged and the transaction blocks until
+// every site has acknowledged it; the engine realizes that as a
+// one-op-in-flight pipeline.
 func (e *ReliableEngine) Write(tx *Tx, key message.Key, val message.Value) error {
 	if err := e.bufferWrite(tx, key, val); err != nil {
 		return err
 	}
-	if !e.cfg.BatchWrites {
+	if e.cfg.PerOpWrites {
 		e.pump(tx)
 	}
 	return nil
@@ -88,7 +89,7 @@ func (e *ReliableEngine) pump(tx *Tx) {
 		if tx.state == txCommitWait {
 			e.stack.Broadcast(message.ClassReliable, &message.VoteReq{Txn: tx.ID})
 		}
-	case e.cfg.BatchWrites:
+	case !e.cfg.PerOpWrites:
 		// One batch broadcast covers the whole write set; a single
 		// all-sites acknowledgement round follows.
 		batch := &message.WriteBatch{Txn: tx.ID, Writes: message.DedupWrites(tx.writes)}
@@ -118,7 +119,7 @@ func (e *ReliableEngine) abortLocal(tx *Tx, reason AbortReason) {
 	if tx.state == txDone {
 		return
 	}
-	if n := opsSent(tx, e.cfg.BatchWrites); n > 0 {
+	if n := opsSent(tx, !e.cfg.PerOpWrites); n > 0 {
 		// The self-delivery cleans up this site's replica state.
 		e.stack.Broadcast(message.ClassReliable, &message.Decision{Txn: tx.ID, Commit: false, NOps: n})
 	} else {
@@ -129,7 +130,7 @@ func (e *ReliableEngine) abortLocal(tx *Tx, reason AbortReason) {
 
 // onWriteAck processes one site's explicit acknowledgement.
 func (e *ReliableEngine) onWriteAck(a message.WriteAck) {
-	if tx := e.acked(a, e.cfg.BatchWrites); tx != nil {
+	if tx := e.acked(a, !e.cfg.PerOpWrites); tx != nil {
 		e.pump(tx)
 	}
 }

@@ -95,8 +95,10 @@ func TestSoakLargeCluster(t *testing.T) {
 }
 
 // TestSoakBatchedAndPiggyback repeats a reduced soak under the configurations
-// TestSoak does not run: batched dissemination for R and C, and protocol A's
-// causal-write arm (TestSoak runs A's shipped, piggybacked path).
+// TestSoakLargeCluster does not run: the paper's per-operation arms
+// (Config.PerOpWrites) of R, C and A. TestSoakLargeCluster soaks the
+// shipped paths: R's and C's one write batch per commit, and A's write set
+// piggybacked on the ordered commit request.
 func TestSoakBatchedAndPiggyback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in short mode")
@@ -105,9 +107,9 @@ func TestSoakBatchedAndPiggyback(t *testing.T) {
 		proto string
 		cfg   func() Config
 	}{
-		{"reliable", func() Config { c := cfgFor("reliable"); c.BatchWrites = true; return c }},
-		{"causal", func() Config { c := cfgFor("causal"); c.BatchWrites = true; return c }},
-		{"atomic", func() Config { c := cfgFor("atomic"); c.CausalWrites = true; return c }},
+		{"reliable", func() Config { c := cfgFor("reliable"); c.PerOpWrites = true; return c }},
+		{"causal", func() Config { c := cfgFor("causal"); c.PerOpWrites = true; return c }},
+		{"atomic", func() Config { c := cfgFor("atomic"); c.PerOpWrites = true; return c }},
 	}
 	for _, tcase := range cases {
 		t.Run(tcase.proto, func(t *testing.T) {

@@ -39,16 +39,17 @@ const (
 var Protocols = []string{ProtoBaseline, ProtoReliable, ProtoCausal, ProtoAtomic}
 
 // PaperConfig returns the engine settings the paper's analysis assumes for
-// a protocol: A disseminates each write by causal broadcast (the paper's
-// arm, core.Config.CausalWrites) and C runs a 25 ms null-broadcast
+// a protocol: R, C and A disseminate each write as it is staged (the
+// paper's arm, core.Config.PerOpWrites) and C runs a 25 ms null-broadcast
 // heartbeat. The experiments and the analytic message-count checks run it.
 func PaperConfig(proto string) core.Config {
 	cfg := core.Config{}
 	switch proto {
+	case ProtoReliable, ProtoAtomic:
+		cfg.PerOpWrites = true
 	case ProtoCausal:
+		cfg.PerOpWrites = true
 		cfg.CausalHeartbeat = 25 * time.Millisecond
-	case ProtoAtomic:
-		cfg.CausalWrites = true
 	}
 	return cfg
 }

@@ -72,9 +72,6 @@ type Options struct {
 	// default pace and majority views — required for Crash/Partition
 	// experiments.
 	Membership bool
-	// BatchWrites defers protocols R/C write dissemination to one
-	// WriteBatch broadcast at commit time.
-	BatchWrites bool
 	// SnapshotReadOnly lets read-only transactions in the lock-based
 	// protocols read committed state without shared locks.
 	SnapshotReadOnly bool
@@ -120,10 +117,7 @@ type Cluster struct {
 // New builds and starts a cluster.
 func New(opts Options) (*Cluster, error) {
 	opts.defaults()
-	cfg := core.Config{
-		BatchWrites:      opts.BatchWrites,
-		SnapshotReadOnly: opts.SnapshotReadOnly,
-	}
+	cfg := core.Config{SnapshotReadOnly: opts.SnapshotReadOnly}
 	if opts.Membership {
 		cfg.FailureInterval = failure.DefaultInterval
 	}

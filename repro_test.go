@@ -158,8 +158,9 @@ func TestFacadeQuorum(t *testing.T) {
 }
 
 func TestFacadeConfigPassthrough(t *testing.T) {
-	// Batch + snapshot options plumb through to working clusters.
-	c, err := New(Options{Protocol: Reliable, Sites: 3, BatchWrites: true, SnapshotReadOnly: true, Verify: true})
+	// The snapshot option plumbs through to a working cluster, whose
+	// protocol R ships each write set in one batch.
+	c, err := New(Options{Protocol: Reliable, Sites: 3, SnapshotReadOnly: true, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
