@@ -11,8 +11,10 @@ import (
 // site and the transaction blocks until all sites acknowledge it; locks
 // block on conflict (wound-wait keeps the blocking deadlock-free); and
 // commitment is a centralized two-phase commit — prepare, votes to the
-// coordinator, decision. It exists as the measured baseline for the
-// broadcast protocols' message and latency comparisons.
+// coordinator, decision. It unicasts protocol R's messages (WriteReq,
+// WriteAck, then VoteReq as the prepare, Vote and Decision). It exists as
+// the measured baseline for the broadcast protocols' message and latency
+// comparisons.
 type BaselineEngine struct {
 	lockedReplica
 }
@@ -37,17 +39,17 @@ func (e *BaselineEngine) Receive(from message.SiteID, m message.Message) {
 		return
 	}
 	switch t := m.(type) {
-	case *message.UWrite:
-		e.onUWrite(t)
-	case *message.UWriteAck:
-		e.onAck(message.WriteAck(*t))
+	case *message.WriteReq:
+		e.onWrite(t)
+	case *message.WriteAck:
+		e.onAck(*t)
 	case *message.Wound:
 		e.onWound(t)
-	case *message.Prepare:
+	case *message.VoteReq:
 		e.onPrepare(from, t)
-	case *message.PrepareVote:
+	case *message.Vote:
 		e.onVote(t)
-	case *message.PDecision:
+	case *message.Decision:
 		e.onDecision(t)
 	default:
 		e.rt.Logf("baseline: unexpected %v from %v", m.Kind(), from)
@@ -71,17 +73,17 @@ func (e *BaselineEngine) pump(tx *Tx) {
 	}
 	if tx.nextOp < len(tx.writes) {
 		op := tx.writes[tx.nextOp]
-		w := &message.UWrite{Txn: tx.ID, OpSeq: tx.nextOp + 1, Key: op.Key, Value: op.Value}
+		w := &message.WriteReq{Txn: tx.ID, OpSeq: tx.nextOp + 1, Key: op.Key, Value: op.Value}
 		e.sendOp(tx, uint64(w.OpSeq), 1)
 		e.sendOthers(w)
-		e.onUWrite(w) // local replica processes the same operation
+		e.onWrite(w) // local replica processes the same operation
 		return
 	}
 	if tx.state == txCommitWait {
 		// Centralized 2PC phase one.
 		tx.commitAt = e.rt.Now()
 		e.tr.Point(tx.ID, trace.KindCommitReq, 0, e.rt.ID(), 0)
-		e.sendOthers(&message.Prepare{Txn: tx.ID})
+		e.sendOthers(&message.VoteReq{Txn: tx.ID})
 		tx.ackWait = dropSite(append(tx.ackWait[:0], e.members()...), e.rt.ID())
 		if len(tx.ackWait) == 0 {
 			e.decide(tx, true)
@@ -101,7 +103,7 @@ func (e *BaselineEngine) abortLocal(tx *Tx, reason AbortReason) {
 		return
 	}
 	if opsSent(tx, false) > 0 {
-		e.announce(&message.PDecision{Txn: tx.ID, Commit: false})
+		e.announce(&message.Decision{Txn: tx.ID, Commit: false})
 	} else {
 		e.locks.ReleaseAll(tx.ID)
 	}
@@ -118,10 +120,10 @@ func (e *BaselineEngine) Read(tx *Tx, key message.Key, cb func(message.Value, er
 	e.lockingRead(tx, key, cb)
 }
 
-// onUWrite acquires the exclusive lock, blocking on conflict. Wound-wait
+// onWrite acquires the exclusive lock, blocking on conflict. Wound-wait
 // keeps the blocking safe: an older requester wounds every younger
 // transaction it would wait behind, then waits for the lock.
-func (e *BaselineEngine) onUWrite(w *message.UWrite) {
+func (e *BaselineEngine) onWrite(w *message.WriteReq) {
 	r := e.rtxn(w.Txn)
 	if r.doomed {
 		return
@@ -133,7 +135,7 @@ func (e *BaselineEngine) onUWrite(w *message.UWrite) {
 			return
 		}
 		rr.staged = append(rr.staged, message.KV{Key: w.Key, Value: w.Value})
-		e.sendAck(message.UWriteAck{Txn: w.Txn, OpSeq: w.OpSeq, By: e.rt.ID(), OK: true})
+		e.sendAck(message.WriteAck{Txn: w.Txn, OpSeq: w.OpSeq, By: e.rt.ID(), OK: true})
 	}
 	if e.locks.Acquire(w.Txn, w.Key, lockExclusive, true, grant) == lockGranted {
 		grant()
@@ -142,9 +144,9 @@ func (e *BaselineEngine) onUWrite(w *message.UWrite) {
 
 // sendAck sends an acknowledgement to the home site, short-circuiting when
 // this site is the home. Only the message that leaves the site is boxed.
-func (e *BaselineEngine) sendAck(a message.UWriteAck) {
+func (e *BaselineEngine) sendAck(a message.WriteAck) {
 	if a.Txn.Site == e.rt.ID() {
-		e.onAck(message.WriteAck(a))
+		e.onAck(a)
 		return
 	}
 	out := a // boxing &a instead would move a to the heap on the self path too
@@ -185,13 +187,13 @@ func (e *BaselineEngine) onAck(a message.WriteAck) {
 }
 
 // onPrepare votes to the coordinator (phase one of centralized 2PC).
-func (e *BaselineEngine) onPrepare(from message.SiteID, p *message.Prepare) {
+func (e *BaselineEngine) onPrepare(from message.SiteID, p *message.VoteReq) {
 	yes := !e.rtxn(p.Txn).doomed
-	e.rt.Send(from, &message.PrepareVote{Txn: p.Txn, By: e.rt.ID(), Yes: yes})
+	e.rt.Send(from, &message.Vote{Txn: p.Txn, By: e.rt.ID(), Yes: yes})
 }
 
 // onVote collects votes at the coordinator.
-func (e *BaselineEngine) onVote(v *message.PrepareVote) {
+func (e *BaselineEngine) onVote(v *message.Vote) {
 	tx := e.local[v.Txn]
 	if tx == nil || tx.state != txCommitWait {
 		return
@@ -215,14 +217,14 @@ func (e *BaselineEngine) onVote(v *message.PrepareVote) {
 // participant and applied locally. Commits finish through the pipeline's
 // durability ack inside onDecision; aborts finish immediately.
 func (e *BaselineEngine) decide(tx *Tx, commit bool) {
-	e.announce(&message.PDecision{Txn: tx.ID, Commit: commit})
+	e.announce(&message.Decision{Txn: tx.ID, Commit: commit})
 	if !commit {
 		e.finish(tx, Aborted, ReasonViewChange)
 	}
 }
 
 // announce unicasts a decision to every participant and applies it here.
-func (e *BaselineEngine) announce(d *message.PDecision) {
+func (e *BaselineEngine) announce(d *message.Decision) {
 	e.sendOthers(d)
 	e.onDecision(d)
 }
@@ -237,7 +239,7 @@ func (e *BaselineEngine) sendOthers(m message.Message) {
 }
 
 // onDecision applies or discards the staged writes at a participant.
-func (e *BaselineEngine) onDecision(d *message.PDecision) {
+func (e *BaselineEngine) onDecision(d *message.Decision) {
 	r := e.remote[d.Txn]
 	if r == nil {
 		// No staged record (read-only at this site); the coordinator still

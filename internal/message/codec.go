@@ -702,34 +702,10 @@ func (e *encoder) message(m Message) {
 		e.byte(byte(KindWriteBatch))
 		e.txn(t.Txn)
 		e.kvs(t.Writes)
-	case *UWrite:
-		e.byte(byte(KindUWrite))
-		e.txn(t.Txn)
-		e.int(int64(t.OpSeq))
-		e.key(t.Key)
-		e.value(t.Value)
-	case *UWriteAck:
-		e.byte(byte(KindUWriteAck))
-		e.txn(t.Txn)
-		e.int(int64(t.OpSeq))
-		e.site(t.By)
-		e.bool(t.OK)
 	case *Wound:
 		e.byte(byte(KindWound))
 		e.txn(t.Txn)
 		e.site(t.By)
-	case *Prepare:
-		e.byte(byte(KindPrepare))
-		e.txn(t.Txn)
-	case *PrepareVote:
-		e.byte(byte(KindPrepareVote))
-		e.txn(t.Txn)
-		e.site(t.By)
-		e.bool(t.Yes)
-	case *PDecision:
-		e.byte(byte(KindPDecision))
-		e.txn(t.Txn)
-		e.bool(t.Commit)
 	case *QReadReq:
 		e.byte(byte(KindQReadReq))
 		e.txn(t.Txn)
@@ -966,18 +942,8 @@ func (d *decoder) body(kind Kind) Message {
 		return &CausalNull{From: d.site()}
 	case KindWriteBatch:
 		return &WriteBatch{Txn: d.txn(), Writes: d.kvs()}
-	case KindUWrite:
-		return &UWrite{Txn: d.txn(), OpSeq: d.intField(), Key: d.key(), Value: d.value()}
-	case KindUWriteAck:
-		return &UWriteAck{Txn: d.txn(), OpSeq: d.intField(), By: d.site(), OK: d.bool()}
 	case KindWound:
 		return &Wound{Txn: d.txn(), By: d.site()}
-	case KindPrepare:
-		return &Prepare{Txn: d.txn()}
-	case KindPrepareVote:
-		return &PrepareVote{Txn: d.txn(), By: d.site(), Yes: d.bool()}
-	case KindPDecision:
-		return &PDecision{Txn: d.txn(), Commit: d.bool()}
 	case KindQReadReq:
 		return &QReadReq{Txn: d.txn(), Seq: d.intField(), Key: d.key()}
 	case KindQReadReply:

@@ -38,13 +38,15 @@ const (
 	KindCausalNull
 	KindWriteBatch
 
-	// Point-to-point baseline.
-	KindUWrite
-	KindUWriteAck
+	// Point-to-point baseline. It unicasts protocol R's kinds above; the
+	// values of its five retired copies of them stay reserved so later
+	// kinds keep their wire values.
+	_ // 21: the retired baseline write (now WriteReq)
+	_ // 22: the retired baseline write acknowledgement (now WriteAck)
 	KindWound
-	KindPrepare
-	KindPrepareVote
-	KindPDecision
+	_ // 24: the retired baseline prepare (now VoteReq)
+	_ // 25: the retired baseline prepare vote (now Vote)
+	_ // 26: the retired baseline decision (now Decision)
 
 	// Quorum (weighted-voting) baseline.
 	KindQReadReq
@@ -97,12 +99,7 @@ var kindNames = map[Kind]string{
 	KindCommitReq:     "CommitReq",
 	KindCausalNull:    "CausalNull",
 	KindWriteBatch:    "WriteBatch",
-	KindUWrite:        "UWrite",
-	KindUWriteAck:     "UWriteAck",
 	KindWound:         "Wound",
-	KindPrepare:       "Prepare",
-	KindPrepareVote:   "PrepareVote",
-	KindPDecision:     "PDecision",
 	KindQReadReq:      "QReadReq",
 	KindQReadReply:    "QReadReply",
 	KindQLockReq:      "QLockReq",
@@ -406,7 +403,7 @@ func (*RetransmitReq) Kind() Kind { return KindRetransmitReq }
 
 // WriteReq replicates one write operation of an update transaction. In
 // protocol R it travels by reliable broadcast, in protocols C and A by
-// causal broadcast.
+// causal broadcast, and the ROWA baseline unicasts it to every site.
 type WriteReq struct {
 	Txn   TxnID
 	OpSeq int // position among the transaction's writes, starting at 1
@@ -417,9 +414,10 @@ type WriteReq struct {
 // Kind implements Message.
 func (*WriteReq) Kind() Kind { return KindWriteReq }
 
-// WriteAck is protocol R's explicit per-operation acknowledgement, unicast
-// back to the transaction's home site. OK=false is a negative
-// acknowledgement: the write conflicted and the transaction must abort.
+// WriteAck is the explicit per-operation acknowledgement of protocol R and
+// the baseline, unicast back to the transaction's home site. OK=false is a
+// negative acknowledgement: the write conflicted and the transaction must
+// abort (only protocol R sends one; the baseline's writes wait for locks).
 type WriteAck struct {
 	Txn   TxnID
 	OpSeq int
@@ -441,7 +439,9 @@ type TxnNack struct {
 // Kind implements Message.
 func (*TxnNack) Kind() Kind { return KindTxnNack }
 
-// VoteReq starts protocol R's decentralized two-phase commit.
+// VoteReq starts a two-phase commit: protocol R broadcasts it for its
+// decentralized commit, and the baseline's coordinator unicasts it as the
+// prepare of its centralized one.
 type VoteReq struct {
 	Txn TxnID
 }
@@ -449,8 +449,9 @@ type VoteReq struct {
 // Kind implements Message.
 func (*VoteReq) Kind() Kind { return KindVoteReq }
 
-// Vote is one site's vote in the decentralized two-phase commit; it is
-// broadcast to all sites so each site tallies the outcome independently.
+// Vote is one site's vote in a two-phase commit. Protocol R broadcasts it
+// to all sites so each site tallies the outcome independently; the
+// baseline unicasts it to the coordinator.
 type Vote struct {
 	Txn TxnID
 	By  SiteID
@@ -462,7 +463,8 @@ func (*Vote) Kind() Kind { return KindVote }
 
 // Decision announces a transaction's outcome (protocol R: the home site's
 // abort on a negative acknowledgement; protocol C: the home site's
-// commit/abort decision after implicit acknowledgements). NOps carries the
+// commit/abort decision after implicit acknowledgements; the baseline: the
+// coordinator's phase-two decision, unicast to every site). NOps carries the
 // number of write operations the home site broadcast, so receivers can
 // garbage-collect the transaction's tombstone once every straggler
 // operation has arrived (reliable broadcast gives no cross-message
@@ -504,11 +506,11 @@ type CausalNull struct {
 // Kind implements Message.
 func (*CausalNull) Kind() Kind { return KindCausalNull }
 
-// WriteBatch carries a transaction's entire write set in one broadcast —
-// the deferred-write optimization (Config.BatchWrites): protocols R and C
-// disseminate all writes at commit time instead of one operation at a
-// time, trading per-operation pipelining for far fewer messages. Receivers
-// acquire all locks or refuse the whole batch.
+// WriteBatch carries a transaction's entire deduplicated write set in one
+// broadcast: protocols R and C send it at commit unless Config.PerOpWrites
+// selects the paper's one broadcast per write operation, trading
+// per-operation pipelining for far fewer messages. Receivers acquire all
+// locks or refuse the whole batch.
 type WriteBatch struct {
 	Txn    TxnID
 	Writes []KV
@@ -516,28 +518,6 @@ type WriteBatch struct {
 
 // Kind implements Message.
 func (*WriteBatch) Kind() Kind { return KindWriteBatch }
-
-// UWrite is the point-to-point baseline's unicast write operation.
-type UWrite struct {
-	Txn   TxnID
-	OpSeq int
-	Key   Key
-	Value Value
-}
-
-// Kind implements Message.
-func (*UWrite) Kind() Kind { return KindUWrite }
-
-// UWriteAck acknowledges a baseline write once its lock is granted.
-type UWriteAck struct {
-	Txn   TxnID
-	OpSeq int
-	By    SiteID
-	OK    bool
-}
-
-// Kind implements Message.
-func (*UWriteAck) Kind() Kind { return KindUWriteAck }
 
 // Wound tells a transaction's home site the transaction was aborted by the
 // wound-wait deadlock-avoidance policy at the sender.
@@ -548,33 +528,6 @@ type Wound struct {
 
 // Kind implements Message.
 func (*Wound) Kind() Kind { return KindWound }
-
-// Prepare is the baseline's centralized two-phase commit phase-one message.
-type Prepare struct {
-	Txn TxnID
-}
-
-// Kind implements Message.
-func (*Prepare) Kind() Kind { return KindPrepare }
-
-// PrepareVote is a participant's vote, unicast to the coordinator.
-type PrepareVote struct {
-	Txn TxnID
-	By  SiteID
-	Yes bool
-}
-
-// Kind implements Message.
-func (*PrepareVote) Kind() Kind { return KindPrepareVote }
-
-// PDecision is the coordinator's phase-two decision.
-type PDecision struct {
-	Txn    TxnID
-	Commit bool
-}
-
-// Kind implements Message.
-func (*PDecision) Kind() Kind { return KindPDecision }
 
 // QReadReq asks one replica for its current version of a key under a
 // shared lock (quorum baseline: reads consult a majority and take the
@@ -830,12 +783,7 @@ func RegisterGob() {
 	gob.Register(&CommitReq{})
 	gob.Register(&CausalNull{})
 	gob.Register(&WriteBatch{})
-	gob.Register(&UWrite{})
-	gob.Register(&UWriteAck{})
 	gob.Register(&Wound{})
-	gob.Register(&Prepare{})
-	gob.Register(&PrepareVote{})
-	gob.Register(&PDecision{})
 	gob.Register(&QReadReq{})
 	gob.Register(&QReadReply{})
 	gob.Register(&QLockReq{})
@@ -884,17 +832,7 @@ func TxnOf(m Message) (TxnID, bool) {
 		return t.Txn, true
 	case *WriteBatch:
 		return t.Txn, true
-	case *UWrite:
-		return t.Txn, true
-	case *UWriteAck:
-		return t.Txn, true
 	case *Wound:
-		return t.Txn, true
-	case *Prepare:
-		return t.Txn, true
-	case *PrepareVote:
-		return t.Txn, true
-	case *PDecision:
 		return t.Txn, true
 	case *QReadReq:
 		return t.Txn, true
