@@ -299,24 +299,67 @@ func TestClientProtocolExecute(t *testing.T) {
 	}
 }
 
-// TestAtomicCommitMessageCount pins protocol A's shipped write path over
-// TCP: an update transaction's write set rides its totally ordered commit
-// request, so one 2-write commit at a non-sequencer site costs 2(n-1) = 4
-// messages (the request to each peer, the sequencer's order to each peer)
-// and no causal broadcast is ever delivered. The paper's causal-write arm
-// would send (w+2)(n-1) = 8. Sites run -proto atomic's engine config with
-// failure handling off (-fd-interval 0) so no heartbeats are counted.
-func TestAtomicCommitMessageCount(t *testing.T) {
+// TestCommitMessageCount pins the shipped write paths over TCP: one
+// 2-write commit at site 1 of an idle 3-site cluster, counted on the wire.
+// Sites run the engine config each -proto gets from run(), with failure
+// handling off (-fd-interval 0) so no heartbeats are counted.
+//
+//   - atomic: the write set rides the totally ordered commit request, so the
+//     commit costs 2(n-1) = 4 messages (the request to each peer, the
+//     sequencer's order to each peer) and no causal broadcast is ever
+//     delivered. The paper's causal-write arm would send (w+2)(n-1) = 8.
+//   - reliable: the write set travels in one batch, so the commit costs
+//     2(n-1) for the batch and its acknowledgements, (n-1) vote requests
+//     and n(n-1) votes: 12. The paper's per-operation arm sends 2w(n-1) for
+//     the writes and their acknowledgements instead of 2(n-1): 16.
+func TestCommitMessageCount(t *testing.T) {
 	const n = 3
-	rs := bootReplicas(t, n, "atomic", func(_ message.SiteID, h *livenet.Host, tr *trace.Tracer) core.Engine {
-		return core.NewAtomic(h, core.Config{
-			AtomicMode:  broadcast.AtomicSequencer,
-			GroupCommit: commitpipe.Policy{MaxBatch: 2},
-			Tracer:      tr,
+	for _, tc := range []struct {
+		proto string
+		build func(*livenet.Host, *trace.Tracer) core.Engine
+		want  int64
+	}{
+		{"atomic", func(h *livenet.Host, tr *trace.Tracer) core.Engine {
+			return core.NewAtomic(h, core.Config{
+				AtomicMode:  broadcast.AtomicSequencer,
+				GroupCommit: commitpipe.Policy{MaxBatch: 2},
+				Tracer:      tr,
+			})
+		}, 2 * (n - 1)},
+		{"reliable", func(h *livenet.Host, tr *trace.Tracer) core.Engine {
+			return core.NewReliable(h, core.Config{
+				GroupCommit: commitpipe.Policy{MaxBatch: 2},
+				Tracer:      tr,
+			})
+		}, 2*(n-1) + (n - 1) + n*(n-1)},
+	} {
+		t.Run(tc.proto, func(t *testing.T) {
+			rs := bootReplicas(t, n, tc.proto, func(_ message.SiteID, h *livenet.Host, tr *trace.Tracer) core.Engine {
+				return tc.build(h, tr)
+			})
+			if got := commitMessages(t, rs); got != tc.want {
+				t.Fatalf("one 2-write commit sent %d messages, want %d", got, tc.want)
+			}
+			if tc.proto != "atomic" {
+				return
+			}
+			for i, r := range rs {
+				var causal int64
+				r.host.Do(func() { causal = r.engine.(*core.AtomicEngine).Broadcasts()[message.ClassCausal] })
+				if causal != 0 {
+					t.Fatalf("site %d delivered %d causal broadcasts, want 0", i, causal)
+				}
+			}
 		})
-	})
-	// sent sums the messages written to peers cluster-wide (the loopback
-	// entry, a site's delivery to itself, excluded).
+	}
+}
+
+// commitMessages warms the cluster up, lets it fall idle, then commits
+// SET a=1 b=2 at site 1 and returns the messages the sites wrote to their
+// peers meanwhile (the loopback entry, a site's delivery to itself,
+// excluded).
+func commitMessages(t *testing.T, rs []*replica) int64 {
+	t.Helper()
 	sent := func() int64 {
 		var total int64
 		for i, r := range rs {
@@ -352,17 +395,8 @@ func TestAtomicCommitMessageCount(t *testing.T) {
 		t.Fatalf("SET: %q", resp)
 	}
 	converged("b", "2")
-	time.Sleep(100 * time.Millisecond) // let a late order frame reach the counters
-	if got, want := sent()-before, int64(2*(n-1)); got != want {
-		t.Fatalf("one 2-write commit sent %d messages, want 2(n-1) = %d", got, want)
-	}
-	for i, r := range rs {
-		var causal int64
-		r.host.Do(func() { causal = r.engine.(*core.AtomicEngine).Broadcasts()[message.ClassCausal] })
-		if causal != 0 {
-			t.Fatalf("site %d delivered %d causal broadcasts, want 0", i, causal)
-		}
-	}
+	time.Sleep(100 * time.Millisecond) // let a late frame reach the counters
+	return sent() - before
 }
 
 // newShardedReplicas boots a 4-site partially replicated cluster (2 groups,
