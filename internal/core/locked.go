@@ -250,15 +250,14 @@ func (l *lockedReplica) acked(a message.WriteAck, batched bool) *Tx {
 
 // opsSent counts the write operations of tx that left this site, so an
 // abort knows whether other sites hold state for it. A batched pipeline
-// sends at most one.
+// sends at most one, and moves nextOp past the write set when it does.
 func opsSent(tx *Tx, batched bool) int {
-	if batched {
-		if tx.opInFlight || tx.nextOp == len(tx.writes) && tx.wrote {
-			return 1
-		}
+	switch {
+	case batched && tx.nextOp > 0:
+		return 1
+	case batched:
 		return 0
-	}
-	if tx.opInFlight {
+	case tx.opInFlight:
 		return tx.nextOp + 1
 	}
 	return tx.nextOp
