@@ -123,12 +123,34 @@ var conformanceScenarios = []scenario{
 	},
 }
 
+// conformanceArm is one engine configuration a scenario runs on.
+type conformanceArm struct {
+	name, proto string
+	perOp       bool
+}
+
+// conformanceArms runs every protocol at its zero-value settings, plus
+// protocols R and C on the paper's per-operation write dissemination, whose
+// writes reach the other sites before commit.
+func conformanceArms() []conformanceArm {
+	var arms []conformanceArm
+	for _, proto := range append(append([]string(nil), protoNames...), "quorum") {
+		arms = append(arms, conformanceArm{name: proto, proto: proto})
+	}
+	for _, proto := range []string{"reliable", "causal"} {
+		arms = append(arms, conformanceArm{name: proto + "-perop", proto: proto, perOp: true})
+	}
+	return arms
+}
+
 func TestProtocolConformance(t *testing.T) {
-	protos := append(append([]string(nil), protoNames...), "quorum")
 	for _, sc := range conformanceScenarios {
-		for _, proto := range protos {
-			t.Run(sc.name+"/"+proto, func(t *testing.T) {
-				tc := newTestCluster(t, 3, proto, cfgFor(proto), 87)
+		for _, arm := range conformanceArms() {
+			proto := arm.proto
+			t.Run(sc.name+"/"+arm.name, func(t *testing.T) {
+				cfg := cfgFor(proto)
+				cfg.PerOpWrites = arm.perOp
+				tc := newTestCluster(t, 3, proto, cfg, 87)
 				results := sc.run(tc)
 				tc.run(20 * time.Second)
 				want := sc.expect[proto]
@@ -155,12 +177,22 @@ func TestProtocolConformance(t *testing.T) {
 						t.Fatalf("bad expectation %q", want[i])
 					}
 				}
-				// Ghost-write check for the abort scenario.
+				// Ghost-write check for the abort scenario. On a per-op arm
+				// the write and then the abort were disseminated, so every
+				// site must also have released what it staged.
 				if sc.name == "client-abort-leaves-nothing" {
 					for s, e := range tc.engines {
 						if _, ok := e.Store().Get("ghost"); ok {
 							t.Errorf("aborted write visible at site %d", s)
 						}
+					}
+					if arm.perOp {
+						st := tc.c.Stats()
+						if st.ByPayload[message.KindWriteReq] == 0 || st.ByPayload[message.KindDecision] == 0 {
+							t.Errorf("per-op abort sent %d writes and %d decisions, want both disseminated",
+								st.ByPayload[message.KindWriteReq], st.ByPayload[message.KindDecision])
+						}
+						tc.checkNoLeaks()
 					}
 				}
 				if err := tc.rec.Check(); err != nil {
